@@ -34,6 +34,7 @@ from __future__ import annotations
 import enum
 import itertools
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -116,6 +117,17 @@ class Circuit:
         if which == "b":
             return self.cycle_b
         raise ValueError("cycle must be 'a' or 'b'")
+
+    def error_sites(self, which: str) -> tuple:
+        """``enumerate_error_sites(self, which)``, computed once per circuit."""
+        try:
+            return self._error_sites[which]
+        except KeyError:
+            raise ValueError("cycle must be 'a' or 'b'") from None
+
+    @cached_property
+    def _error_sites(self) -> dict:
+        return {which: enumerate_error_sites(self, which) for which in "ab"}
 
 
 # ---------------------------------------------------------------------------
@@ -324,8 +336,6 @@ def _bf_half_cycle(cur, stale, removal, perfect):
 def build_bf_circuit(variant: Variant) -> Circuit:
     """Three-qubit bit-flip correction.  Layout: q0-q2 data, q3-q4 ancilla
     set A, q5-q6 ancilla set B, and for the perfect variant q7-q8 removal."""
-    if variant is Variant.NONE:
-        return build_unencoded_circuit()
     perfect = variant is Variant.PERFECT
     n = 9 if perfect else 7
     set_a, set_b = (3, 4), (5, 6)
@@ -436,8 +446,6 @@ def build_surface17_circuit(variant: Variant) -> Circuit:
     """Distance-3 surface code correction.  Layout: q0-q8 data, q9-q16
     ancilla set A (four Z-syndrome then four X-syndrome), q17-q24 set B,
     and for the perfect variant q25-q28 removal."""
-    if variant is Variant.NONE:
-        return build_unencoded_circuit()
     perfect = variant is Variant.PERFECT
     n = 29 if perfect else 25
     a_z, a_x = (9, 10, 11, 12), (13, 14, 15, 16)

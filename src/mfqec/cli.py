@@ -44,7 +44,7 @@ from .threshold import (
     NoCrossing,
     SweepPoint,
     find_threshold_crossing,
-    sweep_point,
+    iter_sweep,
 )
 
 CSV_HEADER = [
@@ -112,9 +112,9 @@ class RunConfig:
             )
         for name in ("trials", "max_cycles", "workers"):
             v = getattr(self, name)
-            if not isinstance(v, int) or v < 1:
+            if not _is_int(v) or v < 1:
                 raise ConfigError(f"{name}: must be a positive integer, got {v!r}")
-        if not isinstance(self.master_seed, int) or self.master_seed < 0:
+        if not _is_int(self.master_seed) or self.master_seed < 0:
             raise ConfigError(
                 f"master_seed: must be a non-negative integer, got "
                 f"{self.master_seed!r}"
@@ -135,6 +135,11 @@ class RunConfig:
     @property
     def variant_enum(self) -> Variant:
         return Variant(self.variant)
+
+
+def _is_int(value) -> bool:
+    """An integer that is not a bool (JSON ``true`` loads as ``True``)."""
+    return isinstance(value, int) and not isinstance(value, bool)
 
 
 def _fmt(value) -> str:
@@ -253,22 +258,17 @@ def run_command(args) -> int:
     points, rows = [], []
     interrupted = False
     try:
-        for index, p in enumerate(cfg.p_grid):
-            progress(
-                f"point {index + 1}/{len(cfg.p_grid)}: {cfg.code} "
-                f"{cfg.variant} p={p:g} ({cfg.trials} trials)"
-            )
-            pt = sweep_point(
-                cfg.code_spec,
-                cfg.variant_enum,
-                p,
-                cfg.trials,
-                cfg.master_seed,
-                index,
-                max_cycles=cfg.max_cycles,
-                workers=cfg.workers,
-                engine=cfg.engine,
-            )
+        for pt in iter_sweep(
+            cfg.code_spec,
+            cfg.variant_enum,
+            cfg.p_grid,
+            cfg.trials,
+            cfg.master_seed,
+            max_cycles=cfg.max_cycles,
+            workers=cfg.workers,
+            engine=cfg.engine,
+            progress=progress,
+        ):
             points.append(pt)
             rows.append(_point_row(cfg, pt))
     except KeyboardInterrupt:

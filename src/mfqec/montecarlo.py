@@ -32,14 +32,14 @@ import enum
 from bisect import bisect_right
 from dataclasses import dataclass
 from functools import lru_cache
+from itertools import chain
 
 import numpy as np
 
-from .circuits import Circuit, GateKind, Variant, build_circuit, enumerate_error_sites
+from .circuits import Circuit, GateKind, Variant, build_circuit
 from .codes import CodeSpec
 from .pauli import PauliOperator
 from .errors import (
-    DegenerateRate,
     ErrorEvent,
     draw_event_paulis,
     event_pauli,
@@ -62,7 +62,6 @@ class Classification(enum.Enum):
 @dataclass(frozen=True)
 class CycleOutcome:
     classification: Classification
-    events_applied: int
 
 
 @dataclass(frozen=True)
@@ -134,25 +133,12 @@ def classify_state(tab: Tableau, code: CodeSpec) -> Classification:
     return Classification.CLEAN_ZERO
 
 
-_SITES_CACHE: dict = {}
-
-
-def _sites(circuit: Circuit, which: str):
-    key = (id(circuit), which)
-    hit = _SITES_CACHE.get(key)
-    if hit is None or hit[0] is not circuit:
-        hit = (circuit, enumerate_error_sites(circuit, which))
-        _SITES_CACHE[key] = hit
-    return hit[1]
-
-
 def run_cycle(tab: Tableau, circuit: Circuit, selector: str, events=(), rng=None) -> CycleOutcome:
     """Execute one cycle on the tableau.  Each event fires immediately
     after its site's instruction has executed ideally."""
     by_site = {ev.site: ev for ev in events}
-    applied = 0
     idx = 0
-    sites = _sites(circuit, selector)
+    sites = circuit.error_sites(selector)
     for step in circuit.cycle(selector):
         for ins in step.instructions:
             kind = ins.kind
@@ -170,9 +156,8 @@ def run_cycle(tab: Tableau, circuit: Circuit, selector: str, events=(), rng=None
             ev = by_site.get(sites[idx])
             if ev is not None:
                 tab.apply_pauli(event_pauli(ev, tab.n))
-                applied += 1
             idx += 1
-    return CycleOutcome(classify_state(tab, circuit.code), applied)
+    return CycleOutcome(classify_state(tab, circuit.code))
 
 
 class _TableauEngine:
@@ -250,7 +235,7 @@ class _FrameEngine:
                     continue
                 op_site.append(idx)
                 idx += 1
-        site_index = {site: i for i, site in enumerate(_sites(circuit, which))}
+        site_index = {site: i for i, site in enumerate(circuit.error_sites(which))}
         return ops, op_site, site_index
 
     def new_run(self):
@@ -355,8 +340,8 @@ def run_trial(cfg: TrialConfig, engine=None, method: str = "skip") -> TrialResul
         # no error can ever occur; the clean state survives to the cap
         return TrialResult(cfg.max_cycles, True)
     rng = np.random.default_rng(cfg.seed)
-    sites_a = _sites(circuit, "a")
-    sites_b = _sites(circuit, "b")
+    sites_a = circuit.error_sites("a")
+    sites_b = circuit.error_sites("b")
     n_sites = len(sites_a)
     if len(sites_b) != n_sites:
         raise AssertionError("cycles a and b disagree on site count")
@@ -444,22 +429,25 @@ def aggregate_rate_estimate(
     )
 
 
-def _run_trial_block(args):
-    (code_name, variant_value, p, max_cycles, engine_name, master_seed,
-     point_index, method, indices) = args
-    from .codes import CODES, UNENCODED
-
-    variant = Variant(variant_value)
-    code = UNENCODED if variant is Variant.NONE else CODES[code_name]
-    circuit = circuit_for(code.name, variant)
-    engine = make_engine(circuit, engine_name)
-    out = []
+def _iter_trials(circuit: Circuit, p, max_cycles, engine, master_seed,
+                 point_index, indices):
+    """Run the trials at ``indices`` on one engine, in order, yielding
+    (trial index, cycles_to_failure, censored) for each."""
+    eng = make_engine(circuit, engine)
     for t in indices:
-        cfg = TrialConfig(code, variant, p, trial_seed(master_seed, point_index, t),
-                          max_cycles)
-        res = run_trial(cfg, engine=engine)
-        out.append((t, res.cycles_to_failure, res.censored))
-    return out
+        cfg = TrialConfig(circuit.code, circuit.variant, p,
+                          trial_seed(master_seed, point_index, t), max_cycles)
+        res = run_trial(cfg, engine=eng)
+        yield t, res.cycles_to_failure, res.censored
+
+
+def _run_trial_block(args):
+    """Process-pool entry point; the trial indices are the last argument."""
+    (code_name, variant_value, p, max_cycles, engine, master_seed, point_index,
+     indices) = args
+    circuit = circuit_for(code_name, Variant(variant_value))
+    return list(_iter_trials(circuit, p, max_cycles, engine, master_seed,
+                             point_index, indices))
 
 
 def estimate_logical_error_rate(
@@ -483,32 +471,30 @@ def estimate_logical_error_rate(
     if n_trials < 1:
         raise ValueError("n_trials must be >= 1")
     results = [None] * n_trials
-    base = (code.name, variant.value, p, max_cycles, engine, master_seed,
-            point_index, "skip")
+    tick = max(1, n_trials // 20)
+
+    def collect(trials):
+        for done, (t, cycles, censored) in enumerate(trials, start=1):
+            results[t] = (cycles, censored)
+            if progress is not None and (done % tick == 0 or done == n_trials):
+                progress(done, n_trials)
+
     if workers > 1:
         from concurrent.futures import ProcessPoolExecutor
 
+        base = (code.name, variant.value, p, max_cycles, engine, master_seed,
+                point_index)
         chunks = [
             list(range(i, n_trials, workers * 4)) for i in range(workers * 4)
         ]
         chunks = [c for c in chunks if c]
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            for block in pool.map(_run_trial_block, [base + (c,) for c in chunks]):
-                for t, cycles, censored in block:
-                    results[t] = (cycles, censored)
-                if progress is not None:
-                    progress(sum(r is not None for r in results), n_trials)
+            blocks = pool.map(_run_trial_block, [base + (c,) for c in chunks])
+            collect(chain.from_iterable(blocks))
     else:
         circuit = circuit_for(code.name, variant)
-        eng = make_engine(circuit, engine)
-        tick = max(1, n_trials // 20)
-        for t in range(n_trials):
-            cfg = TrialConfig(code, variant, p,
-                              trial_seed(master_seed, point_index, t), max_cycles)
-            res = run_trial(cfg, engine=eng)
-            results[t] = (res.cycles_to_failure, res.censored)
-            if progress is not None and (t + 1) % tick == 0:
-                progress(t + 1, n_trials)
+        collect(_iter_trials(circuit, p, max_cycles, engine, master_seed,
+                             point_index, range(n_trials)))
     failure_cycles = [c for c, censored in results if not censored]
     n_censored = sum(1 for _, censored in results if censored)
     boot_rng = np.random.default_rng(

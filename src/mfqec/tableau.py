@@ -78,9 +78,6 @@ class Tableau:
         p.sign_bit = int(self.r[row])
         return p
 
-    def destabilizer(self, i: int) -> PauliOperator:
-        return PauliOperator(self.x[i].copy(), self.z[i].copy())
-
     # -- Clifford gates ------------------------------------------------
 
     def apply_H(self, q: int):

@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Callable, Optional, Sequence
+from typing import Callable, Iterator, Optional, Sequence
 
 import numpy as np
 
@@ -26,6 +26,7 @@ __all__ = [
     "SweepPoint",
     "ThresholdEstimate",
     "NoCrossing",
+    "iter_sweep",
     "sweep_physical_error_rates",
     "sweep_point",
     "find_threshold_crossing",
@@ -95,7 +96,12 @@ class ThresholdEstimate:
             )
 
 
-def sweep_physical_error_rates(
+def sweep_physical_error_rates(*args, **kwargs) -> list:
+    """``list(iter_sweep(...))``: all points of a sweep at once."""
+    return list(iter_sweep(*args, **kwargs))
+
+
+def iter_sweep(
     code: CodeSpec,
     variant: Variant,
     p_grid: Sequence[float],
@@ -106,8 +112,9 @@ def sweep_physical_error_rates(
     workers: int = 1,
     engine: str = "tableau",
     progress: Optional[Callable[[str], None]] = None,
-) -> list:
-    """One SweepPoint per grid value, deterministic given master_seed.
+) -> Iterator[SweepPoint]:
+    """One SweepPoint per grid value, yielded as soon as it is finished,
+    deterministic given master_seed.
 
     Points are seeded by (master_seed, grid index), so a point's trials
     do not depend on the rest of the grid.  A point where every trial is
@@ -120,28 +127,24 @@ def sweep_physical_error_rates(
     if any(b <= a for a, b in zip(grid, grid[1:])):
         raise ValueError(f"p_grid must be strictly increasing, got {grid}")
 
-    points = []
     for index, p in enumerate(grid):
         if progress is not None:
             progress(
                 f"point {index + 1}/{len(grid)}: {code.name} "
                 f"{variant.value} p={p:g} ({trials_per_point} trials)"
             )
-        points.append(
-            sweep_point(
-                code,
-                variant,
-                p,
-                trials_per_point,
-                master_seed,
-                index,
-                max_cycles=max_cycles,
-                workers=workers,
-                engine=engine,
-                progress=progress,
-            )
+        yield sweep_point(
+            code,
+            variant,
+            p,
+            trials_per_point,
+            master_seed,
+            index,
+            max_cycles=max_cycles,
+            workers=workers,
+            engine=engine,
+            progress=progress,
         )
-    return points
 
 
 def sweep_point(

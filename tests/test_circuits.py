@@ -82,6 +82,10 @@ def test_golden_shapes(name, variant):
     for which in ("a", "b"):
         assert len(circ.cycle(which)) == depth
         assert len(enumerate_error_sites(circ, which)) == n_sites
+        assert circ.error_sites(which) == enumerate_error_sites(circ, which)
+        assert circ.error_sites(which) is circ.error_sites(which)
+    with pytest.raises(ValueError):
+        circ.error_sites("c")
 
 
 # ---------------------------------------------------------------------------

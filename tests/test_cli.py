@@ -12,6 +12,7 @@ import math
 import pytest
 
 import mfqec.cli as cli
+import mfqec.threshold as threshold
 from mfqec.cli import (
     CSV_HEADER,
     ConfigError,
@@ -81,6 +82,8 @@ def _run(tmp_path, *extra, grid=("0.005", "0.05"), trials="60", name="results.cs
         (dict(master_seed="42"), "master_seed"),
         (dict(engine="statevector"), "engine"),
         (dict(output_path=""), "output_path"),
+        (dict(trials=True), "trials"),
+        (dict(master_seed=False), "master_seed"),
     ],
 )
 def test_run_config_names_offending_field(overrides, field):
@@ -264,7 +267,7 @@ def test_usage_errors_exit_with_config_status(capsys):
 
 
 def test_interrupt_writes_partial_csv(tmp_path, capsys, monkeypatch):
-    real = cli.sweep_point
+    real = threshold.sweep_point
     calls = []
 
     def interrupt_second(*args, **kwargs):
@@ -273,7 +276,7 @@ def test_interrupt_writes_partial_csv(tmp_path, capsys, monkeypatch):
             raise KeyboardInterrupt
         return real(*args, **kwargs)
 
-    monkeypatch.setattr(cli, "sweep_point", interrupt_second)
+    monkeypatch.setattr(threshold, "sweep_point", interrupt_second)
     rc, out = _run(tmp_path)
     captured = capsys.readouterr()
     assert rc == int(ExitStatus.CONFIG_ERROR)

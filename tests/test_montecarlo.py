@@ -408,15 +408,17 @@ def test_estimate_censoring_and_all_censored():
 
 
 def test_estimate_progress_reporting():
-    calls = []
-    estimate_logical_error_rate(
-        BIT_FLIP_CODE, Variant.SIMPLIFIED, 0.05, 20, 42,
-        max_cycles=100_000, engine="frame",
-        progress=lambda done, total: calls.append((done, total)),
-    )
-    assert calls[-1] == (20, 20)
-    assert all(total == 20 for _, total in calls)
-    assert [d for d, _ in calls] == sorted(d for d, _ in calls)
+    # 45 is not a multiple of the reporting interval (45 // 20 = 2)
+    for n, workers in product((20, 45), (1, 2)):
+        calls = []
+        estimate_logical_error_rate(
+            BIT_FLIP_CODE, Variant.SIMPLIFIED, 0.05, n, 42,
+            max_cycles=100_000, engine="frame", workers=workers,
+            progress=lambda done, total: calls.append((done, total)),
+        )
+        assert calls[-1] == (n, n)
+        assert all(total == n for _, total in calls)
+        assert [d for d, _ in calls] == sorted(d for d, _ in calls)
 
 
 def test_estimate_unencoded_baseline():

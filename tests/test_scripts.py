@@ -1,0 +1,39 @@
+"""Tests of the command-line scripts under ``scripts/``."""
+
+import csv
+import importlib.util
+import os
+
+import numpy as np
+
+import test_acceptance
+from mfqec.cli import CSV_HEADER
+
+SCRIPTS = os.path.join(os.path.dirname(__file__), os.pardir, "scripts")
+
+
+def _load(name):
+    spec = importlib.util.spec_from_file_location(
+        name, os.path.join(SCRIPTS, f"{name}.py")
+    )
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_run_thresholds_uses_acceptance_sweeps_and_writes_csvs(tmp_path, capsys):
+    script = _load("run_thresholds")
+    assert script.SWEEPS.keys() == test_acceptance.SWEEPS.keys()
+    for key, (grid, trials) in test_acceptance.SWEEPS.items():
+        assert np.array_equal(script.SWEEPS[key][0], grid)
+        assert script.SWEEPS[key][1] == trials
+
+    script.main(["--code", "bf", "--trials", "20", "--out-dir", str(tmp_path)])
+    capsys.readouterr()
+    for variant in ("simplified", "perfect"):
+        with open(tmp_path / f"bf_{variant}.csv", newline="") as fh:
+            rows = list(csv.reader(fh))
+        assert rows[0] == CSV_HEADER
+        points = [r for r in rows[1:] if r[3]]  # the summary row has no trials
+        assert len(points) == 8
+        assert all(r[:2] == ["bf", variant] and r[3] == "20" for r in points)
