@@ -14,7 +14,7 @@ import argparse
 import sys
 import time
 
-from mfqec.circuits import Variant, enumerate_error_sites
+from mfqec.circuits import Variant
 from mfqec.errors import ErrorChannel
 from mfqec.montecarlo import circuit_for, make_engine, run_single_fault
 
@@ -31,11 +31,11 @@ def all_event_paulis(site):
     ]
 
 
-def main() -> int:
+def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__)
     ap.add_argument("--engine", default="frame", choices=["frame", "tableau"])
     ap.add_argument("--follow-cycles", type=int, default=10)
-    args = ap.parse_args()
+    args = ap.parse_args(argv)
 
     any_flips = False
     for code_name in ("bf", "surface17"):
@@ -45,7 +45,7 @@ def main() -> int:
             flips = stuck = total = 0
             t0 = time.time()
             for selector in ("a", "b"):
-                for site in enumerate_error_sites(circ, selector):
+                for site in circ.error_sites(selector):
                     for paulis in all_event_paulis(site):
                         out = run_single_fault(
                             circ, site, paulis, selector=selector,

@@ -20,7 +20,11 @@ Two interchangeable engines execute cycles:
 * "frame" — an error-frame fast path: since the noiseless reference run is
   the identity on the clean state, the entire state is two bit masks (X and
   Z frame), gates permute frame bits, and classically-controlled
-  corrections read frame bits directly.
+  corrections read frame bits directly.  Each frame engine memoizes the
+  cycle map for the two calls that repeat: a cycle with no events, keyed
+  by (selector, frame), and a cycle with one event on the clean frame,
+  keyed by (selector, site, Pauli).  The memo lives as long as the engine
+  instance (one estimate, or one pool block) and never touches the RNG.
 
 Both consume the RNG stream identically (only error sampling draws), so a
 trial gives bit-identical results under either engine; the test suite
@@ -32,12 +36,12 @@ import enum
 from bisect import bisect_right
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import chain
+from itertools import chain, product
 
 import numpy as np
 
 from .circuits import Circuit, GateKind, Variant, build_circuit
-from .codes import CodeSpec
+from .codes import UNENCODED, CodeSpec
 from .pauli import PauliOperator
 from .errors import (
     ErrorEvent,
@@ -85,8 +89,16 @@ class TrialResult:
     censored: bool
 
 
-@lru_cache(maxsize=None)
 def circuit_for(code_name: str, variant: Variant) -> Circuit:
+    """The shared circuit of (code, variant).  Every code name runs the
+    one unencoded circuit under ``Variant.NONE``, so all of them share it."""
+    if variant is Variant.NONE:
+        code_name = UNENCODED.name
+    return _built_circuit(code_name, variant)
+
+
+@lru_cache(maxsize=None)
+def _built_circuit(code_name: str, variant: Variant) -> Circuit:
     return build_circuit(code_name, variant)
 
 
@@ -180,6 +192,15 @@ class _TableauEngine:
 
 _OP_H, _OP_CNOT, _OP_TOFX, _OP_TOFZ, _OP_RESET = range(5)
 
+# Base-4 index of an event's Pauli letters (I, X, Y, Z = 0..3, first qubit
+# most significant): below 64 for the at most three qubits of a site.
+_PAULI_INDEX = {
+    letters: sum("IXYZ".index(c) << 2 * (len(letters) - 1 - j)
+                 for j, c in enumerate(letters))
+    for k in (1, 2, 3)
+    for letters in product("IXYZ", repeat=k)
+}
+
 
 class _FrameEngine:
     """Tracks the Pauli frame relative to the noiseless reference run.
@@ -189,6 +210,15 @@ class _FrameEngine:
     and a reset simply clears the frame on that qubit.  Gate-by-gate this
     reproduces the tableau semantics exactly (the suite checks trial
     equivalence bit-for-bit).
+
+    A cycle is a pure function of (selector, frame, events), so the engine
+    memoizes the two kinds of call that repeat, per selector: cycles with
+    no events, keyed by ``fx << n_qubits | fz``, and cycles with exactly
+    one event on the all-zero frame, keyed by ``site_index << 6 |
+    pauli_index``.  Both map to the post-cycle ``(fx, fz,
+    classification)``, interned.  Every other call runs the compiled ops
+    and stores nothing.  The tables belong to the instance and fill as it
+    runs; the RNG is never read.
     """
 
     name = "frame"
@@ -204,10 +234,14 @@ class _FrameEngine:
             self.gen_masks.append((gx, gz))
         self.zl_mask = sum(1 << q for q in code.logical_z)
         self.nondata_mask = ((1 << n) - 1) ^ ((1 << code.n_data) - 1)
+        self._n = n
         self._compiled = {
             "a": self._compile(circuit, "a"),
             "b": self._compile(circuit, "b"),
         }
+        self._idle = {"a": {}, "b": {}}
+        self._fresh = {"a": {}, "b": {}}
+        self._results = {}  # interns the tables' result tuples
 
     @staticmethod
     def _compile(circuit: Circuit, which: str):
@@ -268,12 +302,33 @@ class _FrameEngine:
         return fx, fz
 
     def run_cycle(self, state, selector: str, events, rng=None) -> Classification:
-        ops, op_site, site_index = self._compiled[selector]
         fx, fz = state
+        if not events:
+            table = self._idle[selector]
+            key = fx << self._n | fz
+        elif len(events) == 1 and not (fx or fz):
+            ev = events[0]
+            table = self._fresh[selector]
+            key = (self._compiled[selector][2][ev.site] << 6
+                   | _PAULI_INDEX[ev.paulis])
+        else:
+            table = None
+        out = None if table is None else table.get(key)
+        if out is None:
+            out = self._transition(selector, fx, fz, events)
+            if table is not None:
+                out = table[key] = self._results.setdefault(out, out)
+        state[0], state[1], cls = out
+        return cls
+
+    def _transition(self, selector: str, fx, fz, events):
+        """One cycle from frame (fx, fz): (fx', fz', classification)."""
+        ops, op_site, site_index = self._compiled[selector]
         done = 0
         for ev in sorted(events, key=lambda e: site_index[e.site]):
             upto = bisect_right(op_site, site_index[ev.site])
-            fx, fz = self._exec(ops, done, upto, fx, fz)
+            if fx or fz:  # no op changes the all-zero frame
+                fx, fz = self._exec(ops, done, upto, fx, fz)
             done = upto
             ex = ez = 0
             for q, letter in zip(ev.site.qubits, ev.paulis):
@@ -283,13 +338,12 @@ class _FrameEngine:
                     ez |= 1 << q
             fx ^= ex
             fz ^= ez
-        fx, fz = self._exec(ops, done, len(ops), fx, fz)
+        if fx or fz:
+            fx, fz = self._exec(ops, done, len(ops), fx, fz)
         cls = self._classify(fx, fz)
         if cls is Classification.CLEAN_ZERO:
             fx = fz = 0  # same quantum state; canonicalize the frame
-        state[0] = fx
-        state[1] = fz
-        return cls
+        return fx, fz, cls
 
     def _classify(self, fx, fz) -> Classification:
         for gx, gz in self.gen_masks:
@@ -327,15 +381,18 @@ def _draw_cycle_events(sites, indices, rng):
 
 
 def run_trial(cfg: TrialConfig, engine=None, method: str = "skip") -> TrialResult:
-    """One seeded trial.  ``engine`` may be an engine object, an engine
-    name, or None for the reference tableau engine.  ``method="full"``
+    """One seeded trial.  ``engine`` may be an engine object (whose circuit
+    the trial runs), an engine name, or None for the reference tableau
+    engine.  ``method="full"``
     simulates every cycle with Binomial(N, p) events instead of skipping
     provably clean stretches."""
     if method not in ("skip", "full"):
         raise ValueError("method must be 'skip' or 'full'")
-    circuit = circuit_for(cfg.code.name, cfg.variant)
     if engine is None or isinstance(engine, str):
+        circuit = circuit_for(cfg.code.name, cfg.variant)
         engine = make_engine(circuit, engine or "tableau")
+    else:
+        circuit = engine.circuit
     if cfg.p == 0.0:
         # no error can ever occur; the clean state survives to the cap
         return TrialResult(cfg.max_cycles, True)

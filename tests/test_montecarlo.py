@@ -12,9 +12,10 @@ import numpy as np
 import pytest
 from scipy import stats
 
+from mfqec import montecarlo
 from mfqec.circuits import Variant, enumerate_error_sites
 from mfqec.codes import BIT_FLIP_CODE, SURFACE17_CODE, UNENCODED
-from mfqec.errors import ErrorChannel
+from mfqec.errors import ErrorChannel, ErrorEvent, draw_event_paulis
 from mfqec.montecarlo import (
     AllCensored,
     Classification,
@@ -22,17 +23,20 @@ from mfqec.montecarlo import (
     RateEstimate,
     TrialConfig,
     TrialResult,
+    _FrameEngine,
     aggregate_rate_estimate,
     circuit_for,
     classify_state,
     estimate_logical_error_rate,
     make_engine,
     prepare_logical_zero,
+    run_cycle,
     run_single_fault,
     run_trial,
     trial_seed,
 )
 from mfqec.pauli import PauliOperator
+from mfqec.tableau import Sign
 
 
 def _pauli(n, xs=(), zs=()):
@@ -288,6 +292,106 @@ def test_frame_engine_matches_tableau_per_trial(name, variant, p):
     for seed in range(10):
         cfg = TrialConfig(code, variant, p, seed=seed, max_cycles=20_000)
         assert run_trial(cfg, engine=tab) == run_trial(cfg, engine=frame)
+
+
+def _random_events(circ, selector, k, rng, pool=None):
+    sites = circ.error_sites(selector)
+    chosen = rng.choice(len(sites) if pool is None else pool, size=k, replace=False)
+    return [ErrorEvent(sites[i], draw_event_paulis(sites[i].channel, rng))
+            for i in chosen]
+
+
+@pytest.mark.parametrize("name,variant", [b[:2] for b in TRIAL_BUDGETS])
+def test_frame_cycle_matches_tableau_from_any_frame(name, variant):
+    """From any Pauli frame P on the clean state, one frame-engine cycle
+    leaves the state the tableau reaches from P|clean>: every stabilizer of
+    the clean state (generators, logical Z, ancilla Z's) carries the sign
+    the resulting frame implies."""
+    circ = circuit_for(name, variant)
+    n = circ.n_qubits
+    clean_stabilizers = (list(circ.code.generators(n)) + [circ.code.logical_z_pauli(n)]
+                         + [_pauli(n, zs=(q,)) for q in range(circ.code.n_data, n)])
+    frame = make_engine(circ, "frame")
+    rng = np.random.default_rng(11)
+    for _ in range(40):
+        selector = "ab"[int(rng.integers(2))]
+        fx, fz = ((int(rng.integers(1 << n)), int(rng.integers(1 << n)))
+                  if rng.random() < 0.7 else (0, 0))
+        events = _random_events(circ, selector, int(rng.integers(4)), rng)
+        tab = prepare_logical_zero(circ)
+        tab.apply_pauli(_pauli(n, xs=[q for q in range(n) if fx >> q & 1],
+                               zs=[q for q in range(n) if fz >> q & 1]))
+        expected = run_cycle(tab, circ, selector, events).classification
+        state = [fx, fz]
+        assert frame.run_cycle(state, selector, events) is expected
+        after = _pauli(n, xs=[q for q in range(n) if state[0] >> q & 1],
+                       zs=[q for q in range(n) if state[1] >> q & 1])
+        for s in clean_stabilizers:
+            anticommutes = int(s.x @ after.z + s.z @ after.x) & 1
+            assert tab.deterministic_sign(s) is (Sign.MINUS if anticommutes
+                                                 else Sign.PLUS)
+
+
+def _memo_sizes(engine):
+    return [len(t) for tables in (engine._idle, engine._fresh)
+            for t in tables.values()] + [len(engine._results)]
+
+
+@pytest.mark.parametrize("name,variant,p", TRIAL_BUDGETS)
+def test_warm_frame_engine_matches_fresh_engines(name, variant, p):
+    """A frame engine whose transition memo was filled by trials gives,
+    call for call, the classification and frame of a fresh engine, and
+    stores nothing for calls outside the two memoized kinds."""
+    circ = circuit_for(name, variant)
+    warm = _FrameEngine(circ)
+    for seed in range(20):
+        run_trial(TrialConfig(circ.code, variant, p, seed=seed, max_cycles=20_000),
+                  engine=warm)
+    assert all(_memo_sizes(warm))
+
+    rng = np.random.default_rng(2024)
+    # a few sites per cycle, so that single faults on the clean frame repeat
+    pool = rng.choice(len(circ.error_sites("a")), size=6, replace=False)
+    state = warm.new_run()
+    seen = {"idle hit": 0, "fresh hit": 0, "multi-event": 0, "residual noisy": 0}
+    for _ in range(300):
+        selector = "ab"[int(rng.integers(2))]
+        k = int(rng.choice([0, 0, 0, 1, 1, 2, 3]))
+        events = _random_events(circ, selector, k, rng, pool)
+        before = list(state)
+        sizes = _memo_sizes(warm)
+        cls = warm.run_cycle(state, selector, events)
+        fresh_state = list(before)
+        assert cls is _FrameEngine(circ).run_cycle(fresh_state, selector, events)
+        assert state == fresh_state
+        if len(events) >= 2 or (events and any(before)):
+            assert _memo_sizes(warm) == sizes
+            seen["multi-event" if len(events) >= 2 else "residual noisy"] += 1
+        elif _memo_sizes(warm) == sizes:
+            seen["fresh hit" if events else "idle hit"] += 1
+        if cls is Classification.LOGICAL_FLIP or rng.random() < 0.1:
+            state[:] = warm.new_run()
+    assert all(seen.values()), seen
+
+
+def test_run_trial_takes_the_circuit_from_an_engine(monkeypatch):
+    cfg = TrialConfig(BIT_FLIP_CODE, Variant.SIMPLIFIED, 0.05, seed=3)
+    engine = make_engine(circuit_for("bf", Variant.SIMPLIFIED), "frame")
+    expected = run_trial(cfg, engine="frame")
+
+    def no_lookup(*args):
+        raise AssertionError("circuit_for called with an engine in hand")
+
+    monkeypatch.setattr(montecarlo, "circuit_for", no_lookup)
+    assert run_trial(cfg, engine=engine) == expected
+
+
+def test_every_code_shares_the_unencoded_circuit():
+    estimate_logical_error_rate(BIT_FLIP_CODE, Variant.NONE, 0.05, 4, 0,
+                                engine="frame")
+    unencoded = circuit_for("unencoded", Variant.NONE)
+    assert circuit_for("bf", Variant.NONE) is unencoded
+    assert circuit_for("surface17", Variant.NONE) is unencoded
 
 
 def test_skip_and_full_methods_agree_in_distribution():

@@ -3,6 +3,7 @@
 import csv
 import importlib.util
 import os
+import re
 
 import numpy as np
 
@@ -37,3 +38,21 @@ def test_run_thresholds_uses_acceptance_sweeps_and_writes_csvs(tmp_path, capsys)
         points = [r for r in rows[1:] if r[3]]  # the summary row has no trials
         assert len(points) == 8
         assert all(r[:2] == ["bf", variant] and r[3] == "20" for r in points)
+
+
+def test_audit_single_faults_counts(capsys):
+    """Every single fault of every circuit: injections, logical flips and
+    faults still not clean after 10 cycles, on one frame engine per
+    circuit."""
+    assert _load("audit_single_faults").main([]) == 0
+    counts = [
+        re.match(r"(\S+): (\d+) injections, (\d+) logical flips, (\d+) never clean",
+                 line).groups()
+        for line in capsys.readouterr().out.splitlines()
+    ]
+    assert counts == [
+        ("bf-perfect", "1402", "0", "0"),
+        ("bf-simplified", "598", "0", "16"),
+        ("surface17-perfect", "8570", "0", "0"),
+        ("surface17-simplified", "3562", "0", "96"),
+    ]
