@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import enum
 import math
+from bisect import bisect_right
 from dataclasses import dataclass
 
 import numpy as np
@@ -123,6 +124,7 @@ def sample_clean_run_length(p: float, n_sites: int, rng: np.random.Generator) ->
 
 
 _COUNT_TABLES: dict = {}
+_COUNT_LISTS: dict = {}  # list copies of the tables, for bisect
 
 
 def _count_table(p: float, n_sites: int) -> np.ndarray:
@@ -154,5 +156,9 @@ def sample_error_count_given_any(
     _check_rate(p)
     if n_sites < 1:
         raise ValueError("need at least one error site")
-    table = _count_table(p, n_sites)
-    return int(np.searchsorted(table, rng.random(), side="right")) + 1
+    key = (p, n_sites)
+    table = _COUNT_LISTS.get(key)
+    if table is None:
+        table = _COUNT_LISTS[key] = _count_table(p, n_sites).tolist()
+    # the same comparisons as np.searchsorted(..., side="right")
+    return bisect_right(table, rng.random()) + 1

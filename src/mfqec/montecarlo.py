@@ -8,10 +8,12 @@ generators back at +1 but logical Z at -1) or a cycle cap is hit.
 Whenever the state is exactly the clean |0_L>|0...0>, whole error-free
 cycles are skipped in one geometric draw and the next cycle is simulated
 with at least one error (count conditioned on >= 1, sites uniform without
-replacement).  That is distributionally identical to simulating every cycle
-with per-site Bernoulli(p) noise, which `method="full"` still does for
-cross-validation.  Cycle parity is preserved across skips because the two
-cycles are not equivalent.
+replacement, drawn by Floyd's algorithm so that they match
+``Generator.choice(n, k, replace=False)`` draw for draw).  That is
+distributionally identical to simulating every cycle with per-site
+Bernoulli(p) noise, which `method="full"` still does for cross-validation.
+Cycle parity is preserved across skips because the two cycles are not
+equivalent.
 
 Two interchangeable engines execute cycles:
 
@@ -373,6 +375,32 @@ def make_engine(circuit: Circuit, engine="tableau"):
 # trials
 # ---------------------------------------------------------------------------
 
+@lru_cache(maxsize=None)
+def _floyd_highs(n: int, k: int) -> np.ndarray:
+    """Exclusive upper bounds of the draws of ``rng.choice(n, k,
+    replace=False)``: Floyd's k, for j = n-k ... n-1, then the k-1 of its
+    shuffle, for i = k-1 ... 1."""
+    return np.array([*range(n - k + 1, n + 1), *range(k, 1, -1)], np.int64)
+
+
+def _choose_sites(n: int, k: int, rng) -> list:
+    """``sorted(rng.choice(n, k, replace=False))`` from the same draws: k
+    distinct site indices, uniform without replacement, ascending.
+
+    For n <= 10000 numpy's choice runs Floyd's algorithm, a bounded draw in
+    [0, j] for each j = n-k ... n-1, and then shuffles its k picks with k-1
+    more bounded draws.  ``rng.integers`` makes the same bounded draws, so
+    the generator ends in the same state; the shuffle's draws are spent and
+    ignored, since the sites come out sorted."""
+    if k == 1:
+        return [int(rng.integers(n))]
+    draws = rng.integers(0, _floyd_highs(n, k)).tolist()
+    chosen = set()
+    for j, v in zip(range(n - k, n), draws):
+        chosen.add(j if v in chosen else v)
+    return sorted(chosen)
+
+
 def _draw_cycle_events(sites, indices, rng):
     return [
         ErrorEvent(sites[i], draw_event_paulis(sites[i].channel, rng))
@@ -415,8 +443,7 @@ def run_trial(cfg: TrialConfig, engine=None, method: str = "skip") -> TrialResul
             k = int(rng.binomial(n_sites, cfg.p))
         sites = sites_a if t % 2 == 0 else sites_b
         if k:
-            indices = np.sort(rng.choice(n_sites, size=k, replace=False))
-            events = _draw_cycle_events(sites, indices, rng)
+            events = _draw_cycle_events(sites, _choose_sites(n_sites, k, rng), rng)
         else:
             events = ()
         cls = engine.run_cycle(state, "a" if t % 2 == 0 else "b", events, rng)

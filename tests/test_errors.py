@@ -267,6 +267,17 @@ def test_count_sampler_bounds():
         sample_error_count_given_any(0.2, 0, np.random.default_rng(0))
 
 
+@pytest.mark.parametrize("p,n", [(0.2, 8), (0.05, 25), (1.3e-4, 223), (4.2e-5, 675)])
+def test_count_sampler_matches_searchsorted_at_table_entries(p, n):
+    """At each entry of the cached table and its floating-point neighbours,
+    the sampler counts exactly as ``np.searchsorted(side="right")`` does."""
+    table = _count_table(p, n)
+    for entry in table:
+        for r in (np.nextafter(entry, -np.inf), entry, np.nextafter(entry, np.inf)):
+            expected = int(np.searchsorted(table, r, side="right")) + 1
+            assert sample_error_count_given_any(p, n, _FixedRandom(float(r))) == expected
+
+
 def test_count_table_is_cached():
     assert _count_table(0.123, 7) is _count_table(0.123, 7)
 

@@ -6,6 +6,8 @@ engine against the reference tableau engine trial-for-trial, and the
 skip-ahead sampler against full per-cycle simulation distributionally.
 """
 
+import hashlib
+import json
 from itertools import product
 
 import numpy as np
@@ -392,6 +394,94 @@ def test_every_code_shares_the_unencoded_circuit():
     unencoded = circuit_for("unencoded", Variant.NONE)
     assert circuit_for("bf", Variant.NONE) is unencoded
     assert circuit_for("surface17", Variant.NONE) is unencoded
+
+
+# error sites per cycle of every circuit: unencoded, bf simplified and
+# perfect, surface17 simplified and perfect
+SITE_COUNTS = (1, 25, 77, 223, 675)
+
+
+def test_site_counts_cover_every_circuit():
+    counts = {
+        len(circuit_for(name, variant).error_sites(which))
+        for name, variant in [("unencoded", Variant.NONE)] + [b[:2] for b in TRIAL_BUDGETS]
+        for which in "ab"
+    }
+    assert counts == set(SITE_COUNTS)
+
+
+def test_choose_sites_matches_generator_choice_draw_for_draw():
+    """``_choose_sites(n, k, rng)`` returns ``sorted(rng.choice(n, k,
+    replace=False))`` and leaves the generator in the state choice leaves
+    it in: the next ``random()`` and ``integers(1 << 30)`` agree.  The
+    ``integers(1 << 30)`` draws spend one 32-bit half of a PCG64 output and
+    buffer the other, so picks start both with and without a buffered
+    half-word."""
+    for n in SITE_COUNTS:
+        ks = list(range(1, min(n, 8) + 1))
+        if n <= 25:
+            ks.append(n)
+        for seed in range(200):
+            ref = np.random.default_rng(seed)
+            new = np.random.default_rng(seed)
+            if seed % 2:
+                assert ref.integers(1 << 30) == new.integers(1 << 30)
+            for k in ks:
+                expected = sorted(ref.choice(n, size=k, replace=False))
+                assert montecarlo._choose_sites(n, k, new) == expected, (n, k, seed)
+                assert ref.integers(1 << 30) == new.integers(1 << 30)
+                assert ref.random() == new.random()
+                if k % 2:
+                    assert ref.integers(1 << 30) == new.integers(1 << 30)
+
+
+def test_choose_sites_is_uniform_without_replacement():
+    """Checked by counting, not against numpy: all 10 two-subsets of 5
+    sites are equally likely, and each of 25 sites is in a 3-subset with
+    probability 3/25."""
+    rng = np.random.default_rng(2024)
+    subsets = {}
+    for _ in range(20_000):
+        pick = tuple(montecarlo._choose_sites(5, 2, rng))
+        assert pick[0] < pick[1]
+        subsets[pick] = subsets.get(pick, 0) + 1
+    assert len(subsets) == 10
+    assert stats.chisquare(list(subsets.values())).pvalue > 1e-3
+
+    hits = np.zeros(25, int)
+    for _ in range(20_000):
+        pick = montecarlo._choose_sites(25, 3, rng)
+        assert len(set(pick)) == 3 and pick == sorted(pick)
+        hits[pick] += 1
+    assert stats.chisquare(hits).pvalue > 1e-3
+
+
+# sha256 of json.dumps(failure_cycles) of one small frame-engine estimate
+# per circuit at seed 42: (code, variant, p, trials) -> digest.
+GOLDEN_STREAM = {
+    (BIT_FLIP_CODE, Variant.SIMPLIFIED, 0.05, 200):
+        "55dffd3a1742c415bcf8aff9906c17723011f51c4908f6b11be29c861d13c3f0",
+    (BIT_FLIP_CODE, Variant.PERFECT, 0.02, 200):
+        "80c0aaffd6c8ac12c8d624352360dfda78c1394e347d3fafe4f028d8f2989a2d",
+    (SURFACE17_CODE, Variant.SIMPLIFIED, 0.003, 60):
+        "7edcec46a2be84c62811614cf4e1aee7c74ece03643e0c9e54eb3a63e3e74236",
+    (SURFACE17_CODE, Variant.PERFECT, 0.002, 60):
+        "6cfc1bd30118c40be66bca5925b624657b5fcd878ee27f36cd4898488820bc34",
+    (UNENCODED, Variant.NONE, 0.01, 200):
+        "adfcb0d6ea89b4e9840c526ba58b406cba13497aaa77b61db47d614a26da7ed8",
+}
+
+
+@pytest.mark.parametrize("key", list(GOLDEN_STREAM), ids=lambda k: f"{k[0].name}-{k[1].value}")
+def test_failure_cycles_match_the_golden_rng_stream(key):
+    """The RNG stream of a trial is pinned: these digests were recorded at
+    commit a68d040, before the site choice moved from ``rng.choice`` to
+    ``_choose_sites``, and still hold.  A change that alters the stream on
+    purpose records new digests here together with its reason."""
+    code, variant, p, trials = key
+    est = estimate_logical_error_rate(code, variant, p, trials, 42, engine="frame")
+    digest = hashlib.sha256(json.dumps(list(est.failure_cycles)).encode()).hexdigest()
+    assert digest == GOLDEN_STREAM[key]
 
 
 def test_skip_and_full_methods_agree_in_distribution():

@@ -2,8 +2,11 @@
 
 import csv
 import importlib.util
+import json
 import os
 import re
+import subprocess
+import sys
 
 import numpy as np
 
@@ -38,6 +41,25 @@ def test_run_thresholds_uses_acceptance_sweeps_and_writes_csvs(tmp_path, capsys)
         points = [r for r in rows[1:] if r[3]]  # the summary row has no trials
         assert len(points) == 8
         assert all(r[:2] == ["bf", variant] and r[3] == "20" for r in points)
+
+
+def test_trace_rounds_counts_repeat():
+    """Two traced runs of the same fixed rounds make the same calls.  Each
+    runs in its own interpreter: the benchmark's wrappers stay installed
+    for the life of the process."""
+    argv = [sys.executable, os.path.join(SCRIPTS, "trace_rounds.py"),
+            "--workload", "s17-simplified-stuck", "--rounds", "2", "--trials", "2"]
+    counts = []
+    for _ in range(2):
+        out = subprocess.run(argv, capture_output=True, text=True, check=True,
+                             timeout=300).stdout
+        line = json.loads(out.strip().splitlines()[-1])
+        assert line["rounds"] == 2 and line["trials_per_point"] == 2
+        counts.append({k: v for k, v in line["metrics"].items() if k.endswith(".calls")})
+    assert counts[0] == counts[1]
+    assert counts[0]["trial.calls"] == 4
+    assert counts[0]["errors.clean_run.calls"] > 0
+    assert counts[0]["engine.run_cycle.calls"] > 0
 
 
 def test_audit_single_faults_counts(capsys):
