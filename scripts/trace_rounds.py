@@ -12,6 +12,13 @@ equal counts show that both make the same cycles and draws.  Rounds are not
 timed against the benchmark's calibration clock, so the seconds are raw.
 Both benchmark modules are imported, not changed; a ``bf-sweep`` round
 writes its CSV under ``perfbench/out/`` as the benchmark does.
+
+The line also gives the size of the transition memo of the workload
+circuit's frame engine after the rounds: ``memo.fault_entries`` single
+faults stored out of ``memo.fault_slots`` possible, and
+``memo.orbit_entries`` noiseless orbit cycles.  They are read from this
+process's engine; ``bf-sweep`` runs its trials in pool workers, each with
+an engine of its own, so its entries read 0 here.
 """
 from __future__ import annotations
 
@@ -25,6 +32,9 @@ sys.path[:0] = [str(ROOT / "src"), str(ROOT / "perfbench")]
 
 import run  # noqa: E402  (perfbench/run.py)
 from spans import Tracer  # noqa: E402
+
+from mfqec.circuits import Variant  # noqa: E402
+from mfqec.montecarlo import circuit_for, make_engine  # noqa: E402
 
 
 class _Untimed:
@@ -57,9 +67,12 @@ def main(argv=None) -> int:
             runner.round(index)
     finally:
         tracer.uninstall()
+    spec = run.WORKLOADS[args.workload]
+    engine = make_engine(circuit_for(spec["code"], Variant(spec["variant"])), "frame")
+    memo = {f"memo.{k}": v for k, v in engine.memo_sizes().items()}
     print(json.dumps({"workload": args.workload, "seed": args.seed,
                       "rounds": args.rounds, "trials_per_point": trials,
-                      "metrics": tracer.metrics()}))
+                      **memo, "metrics": tracer.metrics()}))
     return 0
 
 

@@ -129,6 +129,12 @@ class Circuit:
     def _error_sites(self) -> dict:
         return {which: enumerate_error_sites(self, which) for which in "ab"}
 
+    @cached_property
+    def engines(self) -> dict:
+        """This circuit's simulation engines by name, filled by
+        ``montecarlo.make_engine``; they live as long as the circuit."""
+        return {}
+
 
 # ---------------------------------------------------------------------------
 # scheduling

@@ -109,16 +109,23 @@ def apply_event(tab, event: ErrorEvent):
 # aggregate samplers for the skip-ahead loop
 # ---------------------------------------------------------------------------
 
+_LOG_CLEAN: dict = {}  # log P(cycle has no error) per (p, n_sites)
+
+
 def sample_clean_run_length(p: float, n_sites: int, rng: np.random.Generator) -> int:
     """Number of consecutive cycles (possibly 0) in which none of the
     ``n_sites`` locations errs.  Exact geometric inverse-CDF sampling with
     success probability 1 - (1-p)**n_sites, done in log space."""
-    _check_rate(p)
-    if n_sites < 1:
-        raise ValueError("need at least one error site")
-    log_clean = n_sites * math.log1p(-p)  # log P(cycle has no error)
-    if log_clean == 0.0:
-        raise DegenerateRate("cycles are certainly clean; run length diverges")
+    log_clean = _LOG_CLEAN.get((p, n_sites))
+    if log_clean is None:
+        # a rejected (p, n_sites) is never stored, so it raises on every call
+        _check_rate(p)
+        if n_sites < 1:
+            raise ValueError("need at least one error site")
+        log_clean = n_sites * math.log1p(-p)
+        if log_clean == 0.0:
+            raise DegenerateRate("cycles are certainly clean; run length diverges")
+        _LOG_CLEAN[p, n_sites] = log_clean
     r = rng.random()
     return int(math.floor(math.log1p(-r) / log_clean))
 
@@ -153,12 +160,13 @@ def sample_error_count_given_any(
 ) -> int:
     """Draw how many of ``n_sites`` locations err in a cycle known to have
     at least one error."""
-    _check_rate(p)
-    if n_sites < 1:
-        raise ValueError("need at least one error site")
     key = (p, n_sites)
     table = _COUNT_LISTS.get(key)
     if table is None:
+        # a rejected (p, n_sites) is never stored, so it raises on every call
+        _check_rate(p)
+        if n_sites < 1:
+            raise ValueError("need at least one error site")
         table = _COUNT_LISTS[key] = _count_table(p, n_sites).tolist()
     # the same comparisons as np.searchsorted(..., side="right")
     return bisect_right(table, rng.random()) + 1

@@ -23,10 +23,12 @@ Two interchangeable engines execute cycles:
   the identity on the clean state, the entire state is two bit masks (X and
   Z frame), gates permute frame bits, and classically-controlled
   corrections read frame bits directly.  Each frame engine memoizes the
-  cycle map for the two calls that repeat: a cycle with no events, keyed
-  by (selector, frame), and a cycle with one event on the clean frame,
-  keyed by (selector, site, Pauli).  The memo lives as long as the engine
-  instance (one estimate, or one pool block) and never touches the RNG.
+  cycles a memory spends its time in: a cycle with one event on the clean
+  frame, keyed by (selector, site, Pauli), and the noiseless orbit that
+  follows each such fault, keyed by (selector, frame).  ``make_engine``
+  keeps one engine per circuit, so the memo is shared by every estimate,
+  sweep point and pool block of a process; it is bounded by the circuit's
+  single faults and never touches the RNG.
 
 Both consume the RNG stream identically (only error sampling draws), so a
 trial gives bit-identical results under either engine; the test suite
@@ -204,6 +206,10 @@ _PAULI_INDEX = {
 }
 
 
+# A noiseless cycle from the all-zero frame: no op changes it, and it is clean.
+_CLEAN = (0, 0, Classification.CLEAN_ZERO)
+
+
 class _FrameEngine:
     """Tracks the Pauli frame relative to the noiseless reference run.
 
@@ -214,13 +220,21 @@ class _FrameEngine:
     equivalence bit-for-bit).
 
     A cycle is a pure function of (selector, frame, events), so the engine
-    memoizes the two kinds of call that repeat, per selector: cycles with
-    no events, keyed by ``fx << n_qubits | fz``, and cycles with exactly
-    one event on the all-zero frame, keyed by ``site_index << 6 |
-    pauli_index``.  Both map to the post-cycle ``(fx, fz,
-    classification)``, interned.  Every other call runs the compiled ops
-    and stores nothing.  The tables belong to the instance and fill as it
-    runs; the RNG is never read.
+    memoizes, per selector, the calls a memory spends its time in.  Cycles
+    with exactly one event on the all-zero frame are stored in ``_fresh``,
+    keyed by ``site_index << 6 | pauli_index``: at most the sum of the
+    sites' ``n_paulis`` entries.  When such an entry is filled, the
+    noiseless orbit of its frame is walked, alternating a and b, and each
+    zero-event cycle of it is stored in ``_idle``, keyed by ``fx << n_qubits
+    | fz``.  The walk stops when the frame is clean or carries a logical
+    flip, or at a (selector, frame) pair already stored, which is how the
+    simplified variant's loops end.  So ``_idle`` holds exactly the orbit
+    closure of the single faults, and the memo cannot outgrow the circuit.
+    Both tables map to the post-cycle ``(fx, fz, classification)``, interned.
+    Every other call runs the compiled ops and stores nothing; so does a
+    zero-event cycle from a frame outside the closure, unless the frame is
+    all zero (``_CLEAN``).  The tables fill lazily, belong to the instance
+    (``make_engine`` keeps one per circuit) and never read the RNG.
     """
 
     name = "frame"
@@ -277,6 +291,16 @@ class _FrameEngine:
     def new_run(self):
         return [0, 0]  # [x frame, z frame]
 
+    def memo_sizes(self) -> dict:
+        """Single faults stored, the number there can be (the sites'
+        ``n_paulis`` over both cycles), and orbit cycles stored."""
+        return {
+            "fault_entries": sum(map(len, self._fresh.values())),
+            "fault_slots": sum(site.n_paulis for which in "ab"
+                               for site in self.circuit.error_sites(which)),
+            "orbit_entries": sum(map(len, self._idle.values())),
+        }
+
     @staticmethod
     def _exec(ops, a, b, fx, fz):
         for i in range(a, b):
@@ -306,22 +330,40 @@ class _FrameEngine:
     def run_cycle(self, state, selector: str, events, rng=None) -> Classification:
         fx, fz = state
         if not events:
-            table = self._idle[selector]
-            key = fx << self._n | fz
+            out = self._idle[selector].get(fx << self._n | fz)
+            if out is None:
+                out = self._transition(selector, fx, fz, events) if fx or fz else _CLEAN
         elif len(events) == 1 and not (fx or fz):
             ev = events[0]
             table = self._fresh[selector]
             key = (self._compiled[selector][2][ev.site] << 6
                    | _PAULI_INDEX[ev.paulis])
+            out = table.get(key)
+            if out is None:
+                out = table[key] = self._intern(
+                    self._transition(selector, 0, 0, events))
+                self._store_orbit(selector, out)
         else:
-            table = None
-        out = None if table is None else table.get(key)
-        if out is None:
             out = self._transition(selector, fx, fz, events)
-            if table is not None:
-                out = table[key] = self._results.setdefault(out, out)
         state[0], state[1], cls = out
         return cls
+
+    def _intern(self, out):
+        return self._results.setdefault(out, out)
+
+    def _store_orbit(self, selector: str, out):
+        """Store the zero-event cycles that follow ``out``, the result of a
+        ``selector`` cycle, until the frame is clean or flipped or the next
+        (selector, frame) pair is already stored."""
+        fx, fz, cls = out
+        while cls is Classification.RESIDUAL:
+            selector = "b" if selector == "a" else "a"
+            table = self._idle[selector]
+            key = fx << self._n | fz
+            if key in table:
+                return
+            fx, fz, cls = table[key] = self._intern(
+                self._transition(selector, fx, fz, ()))
 
     def _transition(self, selector: str, fx, fz, events):
         """One cycle from frame (fx, fz): (fx', fz', classification)."""
@@ -362,13 +404,19 @@ _ENGINES = {"tableau": _TableauEngine, "frame": _FrameEngine}
 
 
 def make_engine(circuit: Circuit, engine="tableau"):
+    """The ``engine`` of ``circuit``: one per (circuit, name), made on first
+    use and kept on the circuit, so every estimate of a process shares its
+    memo.  An engine instance passes through."""
     if not isinstance(engine, str):
-        return engine  # already an engine instance
-    try:
-        cls = _ENGINES[engine]
-    except KeyError:
-        raise ValueError(f"unknown engine {engine!r}") from None
-    return cls(circuit)
+        return engine
+    eng = circuit.engines.get(engine)
+    if eng is None:
+        try:
+            cls = _ENGINES[engine]
+        except KeyError:
+            raise ValueError(f"unknown engine {engine!r}") from None
+        eng = circuit.engines[engine] = cls(circuit)
+    return eng
 
 
 # ---------------------------------------------------------------------------

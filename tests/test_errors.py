@@ -127,6 +127,23 @@ def test_invalid_rates_rejected(p):
         sample_error_count_given_any(p, 10, rng)
 
 
+@pytest.mark.parametrize("sampler", [sample_clean_run_length,
+                                     sample_error_count_given_any])
+def test_samplers_reject_bad_input_on_every_call(sampler):
+    """The samplers cache per (p, n_sites) and check only new keys; a
+    rejected key is never cached, so it raises again on the next call, also
+    after the same p was accepted with another site count."""
+    rng = np.random.default_rng(0)
+    for p in (0.0, -0.1, 1.0000001, float("nan")):
+        for _ in range(2):
+            with pytest.raises(DegenerateRate):
+                sampler(p, 10, rng)
+    sampler(0.25, 10, rng)
+    for _ in range(2):
+        with pytest.raises(ValueError, match="at least one error site"):
+            sampler(0.25, 0, rng)
+
+
 # ---------------------------------------------------------------------------
 # event -> Pauli operator
 # ---------------------------------------------------------------------------

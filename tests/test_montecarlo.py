@@ -8,6 +8,9 @@ skip-ahead sampler against full per-cycle simulation distributionally.
 
 import hashlib
 import json
+import os
+import subprocess
+import sys
 from itertools import product
 
 import numpy as np
@@ -15,7 +18,7 @@ import pytest
 from scipy import stats
 
 from mfqec import montecarlo
-from mfqec.circuits import Variant, enumerate_error_sites
+from mfqec.circuits import Variant, build_circuit, enumerate_error_sites
 from mfqec.codes import BIT_FLIP_CODE, SURFACE17_CODE, UNENCODED
 from mfqec.errors import ErrorChannel, ErrorEvent, draw_event_paulis
 from mfqec.montecarlo import (
@@ -394,6 +397,116 @@ def test_every_code_shares_the_unencoded_circuit():
     unencoded = circuit_for("unencoded", Variant.NONE)
     assert circuit_for("bf", Variant.NONE) is unencoded
     assert circuit_for("surface17", Variant.NONE) is unencoded
+
+
+def _fault_event(circ, selector, key):
+    """The single fault of a ``_fresh`` key ``site_index << 6 | pauli_index``
+    (base-4 letters I, X, Y, Z, first qubit most significant)."""
+    site = circ.error_sites(selector)[key >> 6]
+    k = len(site.qubits)
+    paulis = tuple(LETTERS[(key & 63) >> 2 * (k - 1 - j) & 3] for j in range(k))
+    assert paulis in _all_paulis(site)
+    return ErrorEvent(site, paulis)
+
+
+MEMO_WARMUPS = [
+    ("bf", Variant.PERFECT, (0.01, 0.02, 0.04)),
+    ("bf", Variant.SIMPLIFIED, (0.02, 0.05, 0.1)),
+    ("surface17", Variant.SIMPLIFIED, (0.002, 0.004)),
+]
+
+
+@pytest.mark.parametrize("name,variant,ps", MEMO_WARMUPS)
+def test_frame_memo_is_the_orbit_closure_of_single_faults(name, variant, ps):
+    """After estimates at several p on the shared engine, the memo is an
+    oracle and is bounded: each single-fault and each orbit entry is what a
+    fresh engine computes, at most ``n_paulis`` faults per site are stored,
+    and the idle tables hold exactly the noiseless orbits of the stored
+    faults' results, up to clean, a logical flip or a pair seen before."""
+    circ = circuit_for(name, variant)
+    for i, p in enumerate(ps):
+        estimate_logical_error_rate(circ.code, variant, p, 20, 5, point_index=i,
+                                    engine="frame")
+    memo = make_engine(circ, "frame")
+    fresh = _FrameEngine(circ)
+    n = circ.n_qubits
+    closure = {"a": set(), "b": set()}
+    for selector in "ab":
+        faults = memo._fresh[selector]
+        assert 0 < len(faults) <= sum(site.n_paulis
+                                      for site in circ.error_sites(selector))
+        for key, out in faults.items():
+            event = _fault_event(circ, selector, key)
+            assert out == fresh._transition(selector, 0, 0, [event])
+            fx, fz, cls = out
+            at = selector
+            while cls is Classification.RESIDUAL:
+                at = "b" if at == "a" else "a"
+                frame = fx << n | fz
+                if frame in closure[at]:
+                    break
+                closure[at].add(frame)
+                fx, fz, cls = fresh._transition(at, fx, fz, ())
+        for key, out in memo._idle[selector].items():
+            assert out == fresh._transition(selector, key >> n, key & ((1 << n) - 1), ())
+    assert closure["a"] | closure["b"]
+    assert {s: set(memo._idle[s]) for s in "ab"} == closure
+    assert memo.memo_sizes() == {
+        "fault_entries": len(memo._fresh["a"]) + len(memo._fresh["b"]),
+        "fault_slots": sum(site.n_paulis for s in "ab" for site in circ.error_sites(s)),
+        "orbit_entries": len(closure["a"]) + len(closure["b"]),
+    }
+
+
+def test_make_engine_keeps_one_engine_per_circuit():
+    """``make_engine`` hands every caller the one engine of a circuit
+    object, so trials warm it; an engine built directly starts empty."""
+    circ = circuit_for("bf", Variant.PERFECT)
+    for name in ("frame", "tableau"):
+        engine = make_engine(circ, name)
+        assert make_engine(circ, name) is engine and engine.circuit is circ
+    other = build_circuit("bf", Variant.PERFECT)
+    assert make_engine(other, "frame") is not make_engine(circ, "frame")
+    assert make_engine(other, "frame").circuit is other
+    run_trial(TrialConfig(circ.code, Variant.PERFECT, 0.05, seed=1), engine="frame")
+    assert make_engine(circ, "frame").memo_sizes()["fault_entries"] > 0
+    engine = _FrameEngine(circ)
+    assert engine.memo_sizes()["fault_entries"] == engine.memo_sizes()["orbit_entries"] == 0
+    assert not engine._results
+
+
+_FRESH_ESTIMATE = """
+import sys
+from mfqec.circuits import Variant
+from mfqec.codes import CODES
+from mfqec.montecarlo import estimate_logical_error_rate
+code, variant, p, trials = sys.argv[1], Variant(sys.argv[2]), float(sys.argv[3]), int(sys.argv[4])
+print(repr(estimate_logical_error_rate(CODES[code], variant, p, trials, 9,
+                                       point_index=3, engine="frame")))
+"""
+
+
+@pytest.mark.parametrize("name,variant,p,trials", [
+    ("bf", Variant.SIMPLIFIED, 0.03, 200),
+    ("surface17", Variant.SIMPLIFIED, 0.003, 20),
+])
+def test_estimate_after_other_estimates_matches_a_fresh_process(name, variant, p, trials):
+    """Engine reuse cannot change results: an estimate run after estimates
+    at other p on the same circuit, serially and with pool workers, equals
+    as a whole the same estimate in a fresh interpreter."""
+    code = circuit_for(name, variant).code
+    for i, other in enumerate((p / 2, p * 2)):
+        estimate_logical_error_rate(code, variant, other, trials, 9, point_index=i,
+                                    engine="frame")
+    warm = [estimate_logical_error_rate(code, variant, p, trials, 9, point_index=3,
+                                        engine="frame", workers=workers)
+            for workers in (1, 2)]
+    src = os.path.dirname(os.path.dirname(montecarlo.__file__))
+    env = dict(os.environ, PYTHONPATH=src)
+    out = subprocess.run(
+        [sys.executable, "-c", _FRESH_ESTIMATE, name, variant.value, repr(p), str(trials)],
+        capture_output=True, text=True, check=True, timeout=300, env=env).stdout
+    assert [repr(est) for est in warm] == [out.strip()] * 2
 
 
 # error sites per cycle of every circuit: unencoded, bf simplified and

@@ -55,7 +55,10 @@ def test_trace_rounds_counts_repeat():
                              timeout=300).stdout
         line = json.loads(out.strip().splitlines()[-1])
         assert line["rounds"] == 2 and line["trials_per_point"] == 2
-        counts.append({k: v for k, v in line["metrics"].items() if k.endswith(".calls")})
+        assert 0 < line["memo.fault_entries"] <= line["memo.fault_slots"]
+        assert line["memo.orbit_entries"] > 0
+        counts.append({k: v for k, v in line["metrics"].items() if k.endswith(".calls")}
+                      | {k: v for k, v in line.items() if k.startswith("memo.")})
     assert counts[0] == counts[1]
     assert counts[0]["trial.calls"] == 4
     assert counts[0]["errors.clean_run.calls"] > 0
