@@ -10,9 +10,9 @@ Subcommands
     line, a final summary row carrying the threshold estimate.  Exit
     status: 0 on success, 1 on configuration errors, 2 when the sweep
     completed but the curve never crossed the identity line (the point
-    data is still written).  An interrupted run writes the points
-    finished so far, flagged with a ``# partial=true`` header comment,
-    and exits 1.
+    data is still written).  A run that is interrupted, or whose pool
+    worker crashes, writes the points finished so far, flagged with a
+    ``# partial=true`` header comment, and exits 1.
 
 ``plot``
     Convert a results CSV into per-curve two-column data files (p,
@@ -233,6 +233,10 @@ def _write_csv(path, rows, partial: bool):
 
 
 def run_command(args) -> int:
+    # imported here, not at the top: it loads multiprocessing, which a
+    # process that never runs a sweep should not pay for
+    from concurrent.futures.process import BrokenProcessPool
+
     overrides = {
         "code": args.code,
         "variant": args.variant,
@@ -256,7 +260,7 @@ def run_command(args) -> int:
 
     progress = (lambda msg: print(msg, file=sys.stderr, flush=True))
     points, rows = [], []
-    interrupted = False
+    stopped = None  # why the sweep ended before its last point
     try:
         for pt in iter_sweep(
             cfg.code_spec,
@@ -272,18 +276,21 @@ def run_command(args) -> int:
             points.append(pt)
             rows.append(_point_row(cfg, pt))
     except KeyboardInterrupt:
-        interrupted = True
+        stopped = "interrupted"
+    except BrokenProcessPool as exc:
+        stopped = f"a worker process crashed: {exc}"
+        progress(f"mfqec run: {stopped}")
 
     summary: dict = {
         "csv": cfg.output_path,
         "points": len(points),
-        "partial": interrupted,
+        "partial": stopped is not None,
     }
     status = ExitStatus.OK
-    if interrupted:
+    if stopped is not None:
         _write_csv(cfg.output_path, rows, partial=True)
         status = ExitStatus.CONFIG_ERROR
-        summary["error"] = "interrupted"
+        summary["error"] = stopped
     else:
         try:
             est = find_threshold_crossing(points)

@@ -72,12 +72,6 @@ class Tableau:
         out.r = self.r.copy()
         return out
 
-    def stabilizer(self, i: int) -> PauliOperator:
-        row = self.n + i
-        p = PauliOperator(self.x[row].copy(), self.z[row].copy())
-        p.sign_bit = int(self.r[row])
-        return p
-
     # -- Clifford gates ------------------------------------------------
 
     def apply_H(self, q: int):

@@ -8,10 +8,12 @@ All invocations go through ``main(argv)`` in-process.
 import csv
 import json
 import math
+import os
 
 import pytest
 
 import mfqec.cli as cli
+import mfqec.montecarlo as montecarlo
 import mfqec.threshold as threshold
 from mfqec.cli import (
     CSV_HEADER,
@@ -292,6 +294,35 @@ def test_interrupt_writes_partial_csv(tmp_path, capsys, monkeypatch):
     # the partial file still round-trips through the plot exporter
     written = emit_plot_data(str(out), str(tmp_path))
     assert len(written) == 2
+
+
+_TRIAL_BLOCK = montecarlo._run_trial_block
+
+
+def _crash_on_second_point(args):
+    """Pool entry point that kills its worker process on grid point 1."""
+    if args[6] == 1:  # point_index
+        os._exit(1)
+    return _TRIAL_BLOCK(args)
+
+
+def test_worker_crash_writes_partial_csv(tmp_path, capsys, monkeypatch):
+    """A pool worker that dies mid-sweep ends the run with exit status 1,
+    the finished points in a partial CSV and the reason in the summary,
+    not with a traceback.  Workers are forked, so they see the patch."""
+    monkeypatch.setattr(montecarlo, "_run_trial_block", _crash_on_second_point)
+    rc, out = _run(tmp_path, "--workers", "2")
+    captured = capsys.readouterr()
+    assert rc == int(ExitStatus.CONFIG_ERROR)
+    summary = json.loads(captured.out.strip())
+    assert summary["partial"] is True
+    assert summary["points"] == 1
+    assert summary["error"].startswith("a worker process crashed")
+    assert "Traceback" not in captured.err
+    assert out.read_text().splitlines()[0] == "# partial=true"
+    header, rows = _read_rows(out)
+    assert header == CSV_HEADER
+    assert [float(row["p"]) for row in rows] == [0.005]
 
 
 # ---------------------------------------------------------------------------

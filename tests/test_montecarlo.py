@@ -569,6 +569,125 @@ def test_choose_sites_is_uniform_without_replacement():
     assert stats.chisquare(hits).pvalue > 1e-3
 
 
+# (n, p) of binomial draws for the stream test: p > 0.5 (reflected), p·n
+# just below 30 (the last inversion before BTPE), and n = 1.
+STREAM_BINOMIALS = ((25, 0.05), (675, 4.2e-5), (675, 0.0444), (64, 0.9),
+                    (300, 0.0999), (1, 0.7))
+
+
+def test_pcg64_draws_match_generator_draw_for_draw():
+    """``_PCG64Draws(seed)`` makes the draws of ``default_rng(seed)``:
+    randomly interleaved ``random()``, ``integers(n)``, ``integers(low,
+    high)`` and ``binomial(n, p)`` calls give equal values, and after each
+    sequence the next ``random()`` and ``integers(1 << 30)`` agree, so the
+    two end in the same state, buffered half-word included."""
+    bounds = (1, 2, 3, 15, 25, 63, 77, 223, 675)
+    ranges = ((1, 16), (1, 64), (0, 2), (7, 8), (-5, 70), (0, 1 << 31))
+    draws = 0
+    for seed in (0, 1, 42, 2024, 2**63 + 5):
+        ref = np.random.default_rng(seed)
+        new = montecarlo._PCG64Draws(seed)
+        pick = np.random.default_rng(seed + 1)
+        for kind, j in zip(pick.integers(4, size=25_000).tolist(),
+                           pick.integers(1 << 20, size=25_000).tolist()):
+            if kind == 0:
+                assert new.random() == ref.random()
+            elif kind == 1:
+                n = bounds[j % len(bounds)]
+                assert new.integers(n) == ref.integers(n), (seed, n)
+            elif kind == 2:
+                low, high = ranges[j % len(ranges)]
+                assert new.integers(low, high) == ref.integers(low, high), (seed, low)
+            else:
+                n, p = STREAM_BINOMIALS[j % len(STREAM_BINOMIALS)]
+                assert new.binomial(n, p) == ref.binomial(n, p), (seed, n, p)
+            draws += 1
+        assert new.random() == ref.random()
+        assert new.integers(1 << 30) == ref.integers(1 << 30)
+    assert draws >= 100_000
+
+
+# numpy's PCG64 multiplier (PCG_DEFAULT_MULTIPLIER_128)
+PCG64_MULTIPLIER = 0x2360ED051FC65DA44385DF649FCCF645
+
+
+def _pcg64_state_emitting(word):
+    """A PCG64 state whose next output is ``word``.  PCG64 steps its 128-bit
+    LCG, then outputs the xor of the new state's halves rotated by the top
+    six bits: a new state with a zero high half outputs its low half."""
+    inc = np.random.PCG64(0).state["state"]["inc"]
+    before = (word - inc) * pow(PCG64_MULTIPLIER, -1, 1 << 128) % (1 << 128)
+    state = {"bit_generator": "PCG64", "state": {"state": before, "inc": inc},
+             "has_uint32": 0, "uinteger": 0}
+    check = np.random.PCG64()
+    check.state = state
+    assert check.random_raw() == word
+    return state
+
+
+def test_pcg64_draws_match_generator_on_edge_words():
+    """Words that random seeds almost never give, started from a crafted
+    state in both: Lemire draws whose low product lands just below, on and
+    just above the rejection threshold, and binomials whose uniform is 1/4
+    or 1/2 (exactly the probability of no success at (2, 0.5) and (1, 0.5))
+    or within 3 ulps of 1, past the tail of inversion bounds, where numpy
+    redraws.  The value and the next draws must agree."""
+    cases = []
+    for n in (3, 15, 25, 63, 77, 223, 675):
+        threshold = (1 << 32) % n
+        for leftover in (threshold - 1, threshold, threshold + 1):
+            u = leftover * pow(n, -1, 1 << 32) % (1 << 32)
+            cases.append((u | 0x9E3779B9 << 32, "integers", (n,)))
+    words = [1 << 62, 1 << 63] + [(2**53 - j) << 11 for j in (1, 2, 3)]
+    for n, p in STREAM_BINOMIALS + ((1, 0.5), (2, 0.5)):
+        cases += [(word, "binomial", (n, p)) for word in words]
+    for word, method, args in cases:
+        state = _pcg64_state_emitting(word)
+        ref = np.random.default_rng()
+        ref.bit_generator.state = state
+        new = montecarlo._PCG64Draws(0)
+        new._bitgen.state = state
+        assert getattr(new, method)(*args) == getattr(ref, method)(*args), (word, args)
+        assert new.integers(3) == ref.integers(3)
+        assert new.random() == ref.random()
+        assert new.integers(1 << 30) == ref.integers(1 << 30)
+
+
+def test_pcg64_draws_refuse_what_they_do_not_reproduce():
+    """numpy's BTPE binomial and bounded draws over 2**32 values are not
+    reproduced; asking for them raises instead of drifting from numpy."""
+    draws = montecarlo._PCG64Draws(0)
+    with pytest.raises(ValueError, match="BTPE"):
+        draws.binomial(675, 0.05)
+    with pytest.raises(ValueError, match="BTPE"):
+        draws.binomial(100, 0.6)
+    for args in ((0,), (3, 3), ((1 << 32) + 1,)):
+        with pytest.raises(ValueError):
+            draws.integers(*args)
+
+
+@pytest.mark.parametrize("p", [0.04, 0.05])
+def test_trials_on_both_sides_of_the_btpe_boundary(p, monkeypatch):
+    """surface17-perfect has 675 sites: at p = 0.04 (p·N = 27) a trial draws
+    from ``_PCG64Draws``, residual-state binomials included, and gives what
+    ``default_rng`` gives; at p = 0.05 (p·N = 33.75) it draws from
+    ``default_rng`` itself.  Either way both engines agree."""
+    circ = circuit_for("surface17", Variant.PERFECT)
+    tab, frame = make_engine(circ, "tableau"), make_engine(circ, "frame")
+    cfgs = [TrialConfig(SURFACE17_CODE, Variant.PERFECT, p, seed=seed, max_cycles=120)
+            for seed in range(6)]
+    results = [run_trial(cfg, engine=frame) for cfg in cfgs]
+    assert not all(res.censored for res in results)
+    assert [run_trial(cfg, engine=tab) for cfg in cfgs] == results
+    if p * len(circ.error_sites("a")) <= 30:
+        monkeypatch.setattr(montecarlo, "_PCG64Draws", np.random.default_rng)
+    else:
+        def refused(seed):
+            raise AssertionError("_PCG64Draws built in the BTPE range")
+        monkeypatch.setattr(montecarlo, "_PCG64Draws", refused)
+    assert [run_trial(cfg, engine=frame) for cfg in cfgs] == results
+
+
 # sha256 of json.dumps(failure_cycles) of one small frame-engine estimate
 # per circuit at seed 42: (code, variant, p, trials) -> digest.
 GOLDEN_STREAM = {

@@ -81,3 +81,36 @@ def test_audit_single_faults_counts(capsys):
         ("surface17-perfect", "8570", "0", "0"),
         ("surface17-simplified", "3562", "0", "96"),
     ]
+
+
+def test_bench_pair_writes_the_pair_record(tmp_path):
+    """Two short pairs of one workload against HEAD: the record names both
+    revisions, its seeds and CPU count, and per side the quartiles and wins
+    of every end-to-end metric and each run's checks.  The pairs share the
+    first seed and alternate which side runs first."""
+    argv = [sys.executable, os.path.join(SCRIPTS, "bench_pair.py"), "--base", "HEAD",
+            "--label", "t", "--workload", "s17-simplified-stuck", "--pairs", "2",
+            "--seed", "42", "--seed", "7", "--trials", "2", "--seconds", "0.5",
+            "--out-dir", str(tmp_path)]
+    subprocess.run(argv, capture_output=True, text=True, check=True, timeout=600)
+    record = json.loads((tmp_path / "BENCH_t.json").read_text())
+    head = subprocess.run(["git", "rev-parse", "HEAD"], cwd=SCRIPTS, capture_output=True,
+                          text=True, check=True).stdout.strip()
+    assert record["base"]["rev"] == record["change"]["rev"] == head
+    assert record["seeds"] == [42, 7] and record["pairs"] == 2 and record["cpu_count"] >= 1
+    assert list(record["workloads"]) == ["s17-simplified-stuck"]
+    workload = record["workloads"]["s17-simplified-stuck"]
+    metrics = ["wall_s", "trials_per_s", "cycles_per_s", "setup_s", "peak_rss_mb"]
+    for side in ("base", "change"):
+        entry = workload[side]
+        assert entry["correct"] == [True, True]
+        # the reference digests are recorded at the workload's own trial count
+        assert all(m in (True, None) for m in entry["rng_stream_match"])
+        for m in metrics:
+            assert entry[m]["q1"] <= entry[m]["median"] <= entry[m]["q3"]
+    for m in metrics:
+        assert workload["base"][m]["wins"] + workload["change"][m]["wins"] <= 2
+    runs = workload["runs"]
+    assert [(r["pair"], r["side"], r["order"], r["seed"]) for r in runs] == [
+        (0, "base", 0, 42), (0, "change", 1, 42), (1, "change", 0, 42), (1, "base", 1, 42)]
+    assert all(set(r["metrics"]) == set(metrics) for r in runs)
