@@ -16,7 +16,7 @@ import time
 
 from mfqec.circuits import Variant
 from mfqec.errors import ErrorChannel
-from mfqec.montecarlo import circuit_for, make_engine, run_single_fault
+from mfqec.montecarlo import circuit_for, run_single_fault
 
 LETTERS = ("I", "X", "Y", "Z")
 
@@ -41,7 +41,6 @@ def main(argv=None) -> int:
     for code_name in ("bf", "surface17"):
         for variant in (Variant.PERFECT, Variant.SIMPLIFIED):
             circ = circuit_for(code_name, variant)
-            eng = make_engine(circ, args.engine)
             flips = stuck = total = 0
             t0 = time.time()
             for selector in ("a", "b"):
@@ -49,7 +48,7 @@ def main(argv=None) -> int:
                     for paulis in all_event_paulis(site):
                         out = run_single_fault(
                             circ, site, paulis, selector=selector,
-                            follow_cycles=args.follow_cycles, engine=eng)
+                            follow_cycles=args.follow_cycles, engine=args.engine)
                         total += 1
                         flips += out.flipped
                         stuck += (not out.flipped) and not out.clean_after

@@ -96,11 +96,7 @@ class RunConfig:
                 "variant: must be 'perfect', 'simplified' or 'none', "
                 f"got {self.variant!r}"
             )
-        if self.code == "unencoded" and self.variant != "none":
-            raise ConfigError(
-                "variant: the unencoded baseline only supports 'none', "
-                f"got {self.variant!r}"
-            )
+        _check_code_variant(self.code, self.variant)
         if not self.p_grid:
             raise ConfigError("p_grid: at least one physical error rate required")
         for p in self.p_grid:
@@ -135,6 +131,18 @@ class RunConfig:
     @property
     def variant_enum(self) -> Variant:
         return Variant(self.variant)
+
+
+def _check_code_variant(code, variant) -> None:
+    """The code/variant rule of ``run`` and ``list-circuits``: the unencoded
+    baseline runs only under variant 'none', or with no variant given
+    (``list-circuits --code unencoded``).  Any code under 'none' means the
+    unencoded baseline."""
+    if code == "unencoded" and variant not in (None, "none"):
+        raise ConfigError(
+            "variant: the unencoded baseline only supports 'none', "
+            f"got {variant!r}"
+        )
 
 
 def _is_int(value) -> bool:
@@ -387,6 +395,7 @@ def plot_command(args) -> int:
 # ---------------------------------------------------------------------------
 
 def list_circuits_command(args) -> int:
+    _check_code_variant(args.code, args.variant)
     if args.code == "unencoded" or args.variant == "none":
         selection = [("unencoded", Variant.NONE)]
     elif args.code and args.variant:

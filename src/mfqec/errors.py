@@ -9,10 +9,10 @@ non-identity Paulis on its qubits:
 * THREE_QUBIT (Toffoli / CCZ): the 63 non-identity triples, each p/63
 * INIT (reset): X with probability p
 
-Besides per-site sampling there are two aggregate samplers used by the
-skip-ahead Monte Carlo loop: the geometric number of consecutive error-free
-cycles, and the error count of a cycle conditioned on having at least one
-error.  Both are exact, not approximations.
+Besides the Pauli draw of an erring site there are two aggregate samplers
+used by the skip-ahead Monte Carlo loop: the geometric number of
+consecutive error-free cycles, and the error count of a cycle conditioned
+on having at least one error.  Both are exact, not approximations.
 """
 from __future__ import annotations
 
@@ -82,14 +82,6 @@ def draw_event_paulis(channel: ErrorChannel, rng: np.random.Generator) -> tuple:
     raise ValueError(f"unknown channel {channel}")
 
 
-def sample_site_error(site: ErrorSite, p: float, rng: np.random.Generator):
-    """One Bernoulli(p) draw for the site; an ErrorEvent or None."""
-    _check_rate(p)
-    if rng.random() >= p:
-        return None
-    return ErrorEvent(site, draw_event_paulis(site.channel, rng))
-
-
 def event_pauli(event: ErrorEvent, n_total: int) -> PauliOperator:
     x = np.zeros(n_total, np.uint8)
     z = np.zeros(n_total, np.uint8)
@@ -99,10 +91,6 @@ def event_pauli(event: ErrorEvent, n_total: int) -> PauliOperator:
         if letter in ("Z", "Y"):
             z[q] = 1
     return PauliOperator(x, z)
-
-
-def apply_event(tab, event: ErrorEvent):
-    tab.apply_pauli(event_pauli(event, tab.n))
 
 
 # ---------------------------------------------------------------------------
@@ -130,28 +118,23 @@ def sample_clean_run_length(p: float, n_sites: int, rng: np.random.Generator) ->
     return int(math.floor(math.log1p(-r) / log_clean))
 
 
-_COUNT_TABLES: dict = {}
 _COUNT_LISTS: dict = {}  # list copies of the tables, for bisect
 
 
 def _count_table(p: float, n_sites: int) -> np.ndarray:
     """Cumulative distribution of Binomial(n_sites, p) conditioned on >= 1,
     computed in log space so it stays exact-to-double for tiny p."""
-    key = (p, n_sites)
-    table = _COUNT_TABLES.get(key)
-    if table is None:
-        ks = np.arange(1, n_sites + 1, dtype=np.float64)
-        logw = (
-            math.lgamma(n_sites + 1)
-            - np.array([math.lgamma(k + 1) for k in ks])
-            - np.array([math.lgamma(n_sites - k + 1) for k in ks])
-            + ks * math.log(p)
-            + (n_sites - ks) * math.log1p(-p)
-        )
-        w = np.exp(logw - logw.max())
-        table = np.cumsum(w)
-        table /= table[-1]
-        _COUNT_TABLES[key] = table
+    ks = np.arange(1, n_sites + 1, dtype=np.float64)
+    logw = (
+        math.lgamma(n_sites + 1)
+        - np.array([math.lgamma(k + 1) for k in ks])
+        - np.array([math.lgamma(n_sites - k + 1) for k in ks])
+        + ks * math.log(p)
+        + (n_sites - ks) * math.log1p(-p)
+    )
+    w = np.exp(logw - logw.max())
+    table = np.cumsum(w)
+    table /= table[-1]
     return table
 
 

@@ -18,7 +18,7 @@ equivalent.
 Two interchangeable engines execute cycles:
 
 * "tableau" — the reference path: a full stabilizer tableau runs every
-  instruction (`run_cycle` below).
+  instruction (``_TableauEngine.run_cycle`` below).
 * "frame" — an error-frame fast path: since the noiseless reference run is
   the identity on the clean state, the entire state is two bit masks (X and
   Z frame), gates permute frame bits, and classically-controlled
@@ -73,14 +73,7 @@ class Classification(enum.Enum):
 
 
 @dataclass(frozen=True)
-class CycleOutcome:
-    classification: Classification
-
-
-@dataclass(frozen=True)
 class TrialConfig:
-    code: CodeSpec
-    variant: Variant
     p: float
     seed: int
     max_cycles: int = 10_000_000
@@ -154,33 +147,6 @@ def classify_state(tab: Tableau, code: CodeSpec) -> Classification:
     return Classification.CLEAN_ZERO
 
 
-def run_cycle(tab: Tableau, circuit: Circuit, selector: str, events=(), rng=None) -> CycleOutcome:
-    """Execute one cycle on the tableau.  Each event fires immediately
-    after its site's instruction has executed ideally."""
-    by_site = {ev.site: ev for ev in events}
-    idx = 0
-    sites = circuit.error_sites(selector)
-    for step in circuit.cycle(selector):
-        for ins in step.instructions:
-            kind = ins.kind
-            if kind is GateKind.CNOT:
-                tab.apply_CNOT(*ins.qubits)
-            elif kind is GateKind.TOFFOLI:
-                tab.classical_toffoli(*ins.qubits)
-            elif kind is GateKind.CCZ:
-                tab.classical_ccz(*ins.qubits)
-            elif kind is GateKind.RESET:
-                tab.reset_zero(ins.qubits[0], rng)
-            elif kind is GateKind.H:
-                tab.apply_H(ins.qubits[0])
-            # IDLE: nothing
-            ev = by_site.get(sites[idx])
-            if ev is not None:
-                tab.apply_pauli(event_pauli(ev, tab.n))
-            idx += 1
-    return CycleOutcome(classify_state(tab, circuit.code))
-
-
 class _TableauEngine:
     name = "tableau"
 
@@ -191,8 +157,33 @@ class _TableauEngine:
     def new_run(self) -> Tableau:
         return self._fresh.copy()
 
-    def run_cycle(self, state: Tableau, selector: str, events, rng) -> Classification:
-        return run_cycle(state, self.circuit, selector, events, rng).classification
+    def run_cycle(self, state: Tableau, selector: str, events,
+                  rng=None) -> Classification:
+        """Execute one cycle on the tableau ``state``.  Each event fires
+        immediately after its site's instruction has executed ideally."""
+        circuit = self.circuit
+        by_site = {ev.site: ev for ev in events}
+        idx = 0
+        sites = circuit.error_sites(selector)
+        for step in circuit.cycle(selector):
+            for ins in step.instructions:
+                kind = ins.kind
+                if kind is GateKind.CNOT:
+                    state.apply_CNOT(*ins.qubits)
+                elif kind is GateKind.TOFFOLI:
+                    state.classical_toffoli(*ins.qubits)
+                elif kind is GateKind.CCZ:
+                    state.classical_ccz(*ins.qubits)
+                elif kind is GateKind.RESET:
+                    state.reset_zero(ins.qubits[0], rng)
+                elif kind is GateKind.H:
+                    state.apply_H(ins.qubits[0])
+                # IDLE: nothing
+                ev = by_site.get(sites[idx])
+                if ev is not None:
+                    state.apply_pauli(event_pauli(ev, state.n))
+                idx += 1
+        return classify_state(state, circuit.code)
 
 
 # ---------------------------------------------------------------------------
@@ -408,19 +399,17 @@ class _FrameEngine:
 _ENGINES = {"tableau": _TableauEngine, "frame": _FrameEngine}
 
 
-def make_engine(circuit: Circuit, engine="tableau"):
-    """The ``engine`` of ``circuit``: one per (circuit, name), made on first
-    use and kept on the circuit, so every estimate of a process shares its
-    memo.  An engine instance passes through."""
-    if not isinstance(engine, str):
-        return engine
-    eng = circuit.engines.get(engine)
+def make_engine(circuit: Circuit, name: str):
+    """The engine called ``name`` of ``circuit``: one per (circuit, name),
+    made on first use and kept on the circuit, so every estimate of a
+    process shares its memo."""
+    eng = circuit.engines.get(name)
     if eng is None:
         try:
-            cls = _ENGINES[engine]
+            cls = _ENGINES[name]
         except KeyError:
-            raise ValueError(f"unknown engine {engine!r}") from None
-        eng = circuit.engines[engine] = cls(circuit)
+            raise ValueError(f"unknown engine {name!r}") from None
+        eng = circuit.engines[name] = cls(circuit)
     return eng
 
 
@@ -556,12 +545,10 @@ def _draw_cycle_events(sites, indices, rng):
     ]
 
 
-def run_trial(cfg: TrialConfig, engine=None, method: str = "skip") -> TrialResult:
-    """One seeded trial.  ``engine`` may be an engine object (whose circuit
-    the trial runs), an engine name, or None for the reference tableau
-    engine.  ``method="full"``
-    simulates every cycle with Binomial(N, p) events instead of skipping
-    provably clean stretches.
+def run_trial(cfg: TrialConfig, engine, method: str = "skip") -> TrialResult:
+    """One seeded trial of ``engine.circuit`` on ``engine``, an engine from
+    ``make_engine``.  ``method="full"`` simulates every cycle with
+    Binomial(N, p) events instead of skipping provably clean stretches.
 
     The trial draws from ``_PCG64Draws(cfg.seed)``, which makes the draws of
     ``np.random.default_rng(cfg.seed)`` without numpy's per-call overhead,
@@ -570,11 +557,7 @@ def run_trial(cfg: TrialConfig, engine=None, method: str = "skip") -> TrialResul
     stream does not reproduce, and the trial draws from ``default_rng``."""
     if method not in ("skip", "full"):
         raise ValueError("method must be 'skip' or 'full'")
-    if engine is None or isinstance(engine, str):
-        circuit = circuit_for(cfg.code.name, cfg.variant)
-        engine = make_engine(circuit, engine or "tableau")
-    else:
-        circuit = engine.circuit
+    circuit = engine.circuit
     if cfg.p == 0.0:
         # no error can ever occur; the clean state survives to the cap
         return TrialResult(cfg.max_cycles, True)
@@ -676,9 +659,8 @@ def _iter_trials(circuit: Circuit, p, max_cycles, engine, master_seed,
     (trial index, cycles_to_failure, censored) for each."""
     eng = make_engine(circuit, engine)
     for t in indices:
-        cfg = TrialConfig(circuit.code, circuit.variant, p,
-                          trial_seed(master_seed, point_index, t), max_cycles)
-        res = run_trial(cfg, engine=eng)
+        cfg = TrialConfig(p, trial_seed(master_seed, point_index, t), max_cycles)
+        res = run_trial(cfg, eng)
         yield t, res.cycles_to_failure, res.censored
 
 
@@ -763,22 +745,23 @@ def run_single_fault(
     follow_cycles: int = 10,
     engine: str = "tableau",
 ) -> FaultOutcome:
-    """Inject exactly one event into an otherwise noiseless run and follow
-    it for ``follow_cycles`` clean cycles (stopping early once clean, since
-    a clean state stays clean without noise)."""
+    """Inject exactly one event into an otherwise noiseless run on the
+    circuit's engine called ``engine`` and follow it for ``follow_cycles``
+    clean cycles (stopping early once clean, since a clean state stays
+    clean without noise)."""
     eng = make_engine(circuit, engine)
     state = eng.new_run()
     event = ErrorEvent(site, tuple(paulis))
     order = "ab" if selector == "a" else "ba"
     seen = []
-    cls = eng.run_cycle(state, selector, [event], None)
+    cls = eng.run_cycle(state, selector, [event])
     seen.append(cls)
     cycle_no = 1
     while (
         cls not in (Classification.CLEAN_ZERO, Classification.LOGICAL_FLIP)
         and cycle_no <= follow_cycles
     ):
-        cls = eng.run_cycle(state, order[cycle_no % 2], (), None)
+        cls = eng.run_cycle(state, order[cycle_no % 2], ())
         seen.append(cls)
         cycle_no += 1
     return FaultOutcome(

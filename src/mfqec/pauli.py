@@ -2,10 +2,8 @@
 
 An n-qubit Pauli is stored as two uint8 bit vectors ``x`` and ``z`` plus a
 sign bit.  Per qubit, (x, z) = (0,0) is I, (1,0) is X, (0,1) is Z and (1,1)
-is the Hermitian Y.  Products are tracked with the usual mod-4 phase
-bookkeeping; only +/-1 signs are ever exposed, and composing two operators
-whose product would be purely imaginary (e.g. X * Z on one qubit) raises.
-Nothing in the correction circuits ever forms such a product.
+is the Hermitian Y.  Operators are built, queried and compared here; the
+tableau forms the products of its rows itself.
 """
 from __future__ import annotations
 
@@ -94,36 +92,6 @@ class PauliOperator:
         )
         return ("-" if self.sign_bit else "+") + body
 
-    # -- algebra ------------------------------------------------------
-
-    def compose(self, other: "PauliOperator") -> "PauliOperator":
-        """Return self * other.  Raises if the product is not +/-1 real."""
-        if self.n != other.n:
-            raise ValueError("length mismatch")
-        phase = pauli_product_phase(
-            self.x, self.z, self.sign_bit, other.x, other.z, other.sign_bit
-        )
-        if phase % 2:
-            raise ValueError(
-                "product carries an imaginary phase; not representable "
-                "with a +/-1 sign"
-            )
-        out = PauliOperator(self.x ^ other.x, self.z ^ other.z)
-        out.sign_bit = phase // 2
-        return out
-
-    def expanded(self, n_total: int) -> "PauliOperator":
-        """Pad with identities out to ``n_total`` qubits (same sign)."""
-        if n_total < self.n:
-            raise ValueError("cannot shrink")
-        x = np.zeros(n_total, np.uint8)
-        z = np.zeros(n_total, np.uint8)
-        x[: self.n] = self.x
-        z[: self.n] = self.z
-        out = PauliOperator(x, z)
-        out.sign_bit = self.sign_bit
-        return out
-
     def copy(self) -> "PauliOperator":
         out = PauliOperator(self.x.copy(), self.z.copy())
         out.sign_bit = self.sign_bit
@@ -142,16 +110,3 @@ class PauliOperator:
 
     def __repr__(self) -> str:
         return f"PauliOperator({self.label()!r})"
-
-
-def pauli_product_phase(x1, z1, r1, x2, z2, r2) -> int:
-    """Exponent e of i in (row1 * row2) relative to its Hermitian normal
-    form: row1*row2 = i**e * (normal form with + sign).  e in {0,1,2,3};
-    even values mean a real +/- sign (e//2 is the sign bit)."""
-    c1 = int(np.sum(x1 & z1))
-    c2 = int(np.sum(x2 & z2))
-    xr = x1 ^ x2
-    zr = z1 ^ z2
-    c_out = int(np.sum(xr & zr))
-    cross = int(np.sum(z1 & x2))
-    return (c1 + c2 - c_out + 2 * (int(r1) + int(r2) + cross)) % 4

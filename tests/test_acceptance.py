@@ -21,7 +21,7 @@ import pytest
 from scipy import stats
 
 from mfqec.circuits import GateKind, Variant, enumerate_error_sites
-from mfqec.codes import BIT_FLIP_CODE, CODES, SURFACE17_CODE
+from mfqec.codes import CODES, SURFACE17_CODE
 from mfqec.errors import (
     ErrorChannel,
     ErrorEvent,
@@ -34,7 +34,6 @@ from mfqec.montecarlo import (
     circuit_for,
     make_engine,
     prepare_logical_zero,
-    run_cycle,
     run_single_fault,
     run_trial,
     trial_seed,
@@ -210,7 +209,6 @@ def test_criterion_06_no_single_fault_flips():
         ("surface17", Variant.SIMPLIFIED),
     ):
         circ = circuit_for(name, variant)
-        engine = make_engine(circ, "frame")
         injections = []
         for which in ("a", "b"):
             for site in enumerate_error_sites(circ, which):
@@ -219,7 +217,7 @@ def test_criterion_06_no_single_fault_flips():
         count = 0
         for which, site, paulis in injections:
             out = run_single_fault(
-                circ, site, paulis, selector=which, engine=engine
+                circ, site, paulis, selector=which, engine="frame"
             )
             flips += out.flipped
             count += 1
@@ -252,6 +250,7 @@ def _follow_double_middle_fault(variant, n_cycles=14):
     circ = circuit_for("bf", variant)
     n = circ.n_qubits
     tab = prepare_logical_zero(circ)
+    engine = make_engine(circ, "tableau")
     d2_site = {
         w: next(
             s
@@ -264,8 +263,7 @@ def _follow_double_middle_fault(variant, n_cycles=14):
     for t in range(n_cycles):
         which = "a" if t % 2 == 0 else "b"
         events = [ErrorEvent(d2_site[which], ("X",))] if t < 2 else []
-        out = run_cycle(tab, circ, which, events)
-        classes.append(out.classification)
+        classes.append(engine.run_cycle(tab, which, events))
         weights.append(
             sum(
                 tab.deterministic_sign(PauliOperator.single(n, q, "Z"))
@@ -307,12 +305,7 @@ def _cycles_to_failure(p, method, namespace, n_trials=10_000):
     engine = make_engine(circ, "frame")
     out = np.empty(n_trials, np.int64)
     for t in range(n_trials):
-        cfg = TrialConfig(
-            BIT_FLIP_CODE,
-            Variant.SIMPLIFIED,
-            p,
-            seed=trial_seed(7, namespace, t),
-        )
+        cfg = TrialConfig(p, seed=trial_seed(7, namespace, t))
         res = run_trial(cfg, engine=engine, method=method)
         assert not res.censored
         out[t] = res.cycles_to_failure

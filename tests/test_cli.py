@@ -457,3 +457,10 @@ def test_list_circuits_unencoded(capsys):
     assert rc == 0
     assert captured.out.splitlines()[0] == "# unencoded-none cycle a"
     assert len([l for l in captured.out.splitlines() if l.startswith("#")]) == 2
+
+    # the code/variant rule of `run` holds here too
+    rc = main(["list-circuits", "--code", "unencoded", "--variant", "perfect"])
+    captured = capsys.readouterr()
+    assert rc == 1
+    assert captured.out == ""
+    assert "variant: the unencoded baseline only supports 'none'" in captured.err

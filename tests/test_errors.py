@@ -20,12 +20,10 @@ from mfqec.errors import (
     ErrorEvent,
     ErrorSite,
     _count_table,
-    apply_event,
     draw_event_paulis,
     event_pauli,
     sample_clean_run_length,
     sample_error_count_given_any,
-    sample_site_error,
 )
 
 CHANNEL_ARITY = {
@@ -95,32 +93,9 @@ def test_draw_uniformity(channel, n_cells):
     assert result.pvalue > 1e-4
 
 
-def test_sample_site_error_rates():
-    site = _site(ErrorChannel.MEMORY)
-    rng = np.random.default_rng(11)
-    assert all(
-        sample_site_error(site, 1.0, rng) is not None for _ in range(100)
-    )
-    hits = sum(
-        sample_site_error(site, 0.3, rng) is not None for _ in range(20000)
-    )
-    assert stats.binomtest(hits, 20000, 0.3).pvalue > 1e-4
-
-
-def test_sample_site_error_returns_event_for_its_site():
-    site = ErrorSite(ErrorChannel.TWO_QUBIT, step=4, qubits=(2, 5))
-    rng = np.random.default_rng(3)
-    event = sample_site_error(site, 1.0, rng)
-    assert event.site is site
-    assert len(event.paulis) == 2
-
-
 @pytest.mark.parametrize("p", [0.0, -0.1, 1.0000001, float("nan")])
 def test_invalid_rates_rejected(p):
-    site = _site(ErrorChannel.MEMORY)
     rng = np.random.default_rng(0)
-    with pytest.raises(DegenerateRate):
-        sample_site_error(site, p, rng)
     with pytest.raises(DegenerateRate):
         sample_clean_run_length(p, 10, rng)
     with pytest.raises(DegenerateRate):
@@ -162,21 +137,6 @@ def test_event_pauli_identity_letter_leaves_qubit_alone():
     op = event_pauli(ErrorEvent(site, ("I", "X")), 2)
     assert list(op.x) == [0, 1]
     assert list(op.z) == [0, 0]
-
-
-def test_apply_event_forwards_operator():
-    class Recorder:
-        n = 4
-        seen = None
-
-        def apply_pauli(self, op):
-            self.seen = op
-
-    rec = Recorder()
-    site = ErrorSite(ErrorChannel.MEMORY, step=1, qubits=(3,))
-    apply_event(rec, ErrorEvent(site, ("Y",)))
-    assert list(rec.seen.x) == [0, 0, 0, 1]
-    assert list(rec.seen.z) == [0, 0, 0, 1]
 
 
 # ---------------------------------------------------------------------------
@@ -293,10 +253,6 @@ def test_count_sampler_matches_searchsorted_at_table_entries(p, n):
         for r in (np.nextafter(entry, -np.inf), entry, np.nextafter(entry, np.inf)):
             expected = int(np.searchsorted(table, r, side="right")) + 1
             assert sample_error_count_given_any(p, n, _FixedRandom(float(r))) == expected
-
-
-def test_count_table_is_cached():
-    assert _count_table(0.123, 7) is _count_table(0.123, 7)
 
 
 @settings(max_examples=60, deadline=None)

@@ -35,7 +35,6 @@ from mfqec.montecarlo import (
     estimate_logical_error_rate,
     make_engine,
     prepare_logical_zero,
-    run_cycle,
     run_single_fault,
     run_trial,
     trial_seed,
@@ -71,25 +70,27 @@ def _all_paulis(site):
 
 
 def test_trial_config_validation():
-    ok = TrialConfig(BIT_FLIP_CODE, Variant.SIMPLIFIED, 0.1, seed=1)
+    ok = TrialConfig(0.1, seed=1)
     assert ok.max_cycles == 10_000_000
     with pytest.raises(ValueError, match="p must be"):
-        TrialConfig(BIT_FLIP_CODE, Variant.SIMPLIFIED, -0.1, seed=1)
+        TrialConfig(-0.1, seed=1)
     with pytest.raises(ValueError, match="p must be"):
-        TrialConfig(BIT_FLIP_CODE, Variant.SIMPLIFIED, 1.0, seed=1)
+        TrialConfig(1.0, seed=1)
     with pytest.raises(ValueError, match="max_cycles"):
-        TrialConfig(BIT_FLIP_CODE, Variant.SIMPLIFIED, 0.1, seed=1, max_cycles=0)
+        TrialConfig(0.1, seed=1, max_cycles=0)
 
 
 def test_noiseless_trial_is_censored():
-    cfg = TrialConfig(BIT_FLIP_CODE, Variant.SIMPLIFIED, 0.0, seed=7, max_cycles=50)
-    assert run_trial(cfg) == TrialResult(50, True)
+    cfg = TrialConfig(0.0, seed=7, max_cycles=50)
+    engine = make_engine(circuit_for("bf", Variant.SIMPLIFIED), "tableau")
+    assert run_trial(cfg, engine) == TrialResult(50, True)
 
 
 def test_run_trial_rejects_unknown_method():
-    cfg = TrialConfig(BIT_FLIP_CODE, Variant.SIMPLIFIED, 0.1, seed=1)
+    cfg = TrialConfig(0.1, seed=1)
+    engine = make_engine(circuit_for("bf", Variant.SIMPLIFIED), "tableau")
     with pytest.raises(ValueError, match="skip.*full"):
-        run_trial(cfg, method="bogus")
+        run_trial(cfg, engine, method="bogus")
 
 
 def test_make_engine():
@@ -98,7 +99,8 @@ def test_make_engine():
     frame = make_engine(circ, "frame")
     assert tab.name == "tableau"
     assert frame.name == "frame"
-    assert make_engine(circ, frame) is frame  # instances pass through
+    with pytest.raises(ValueError, match="unknown engine"):
+        make_engine(circ, frame)  # engines are named, not passed through
     with pytest.raises(ValueError, match="unknown engine"):
         make_engine(circ, "statevector")
 
@@ -291,11 +293,10 @@ def test_frame_engine_matches_tableau_per_trial(name, variant, p):
     """Both engines consume the same error stream, so every seeded trial
     must give the identical cycles-to-failure."""
     circ = circuit_for(name, variant)
-    code = circ.code if name != "unencoded" else UNENCODED
     tab = make_engine(circ, "tableau")
     frame = make_engine(circ, "frame")
     for seed in range(10):
-        cfg = TrialConfig(code, variant, p, seed=seed, max_cycles=20_000)
+        cfg = TrialConfig(p, seed=seed, max_cycles=20_000)
         assert run_trial(cfg, engine=tab) == run_trial(cfg, engine=frame)
 
 
@@ -316,6 +317,7 @@ def test_frame_cycle_matches_tableau_from_any_frame(name, variant):
     n = circ.n_qubits
     clean_stabilizers = (list(circ.code.generators(n)) + [circ.code.logical_z_pauli(n)]
                          + [_pauli(n, zs=(q,)) for q in range(circ.code.n_data, n)])
+    tableau = make_engine(circ, "tableau")
     frame = make_engine(circ, "frame")
     rng = np.random.default_rng(11)
     for _ in range(40):
@@ -326,7 +328,7 @@ def test_frame_cycle_matches_tableau_from_any_frame(name, variant):
         tab = prepare_logical_zero(circ)
         tab.apply_pauli(_pauli(n, xs=[q for q in range(n) if fx >> q & 1],
                                zs=[q for q in range(n) if fz >> q & 1]))
-        expected = run_cycle(tab, circ, selector, events).classification
+        expected = tableau.run_cycle(tab, selector, events)
         state = [fx, fz]
         assert frame.run_cycle(state, selector, events) is expected
         after = _pauli(n, xs=[q for q in range(n) if state[0] >> q & 1],
@@ -350,8 +352,7 @@ def test_warm_frame_engine_matches_fresh_engines(name, variant, p):
     circ = circuit_for(name, variant)
     warm = _FrameEngine(circ)
     for seed in range(20):
-        run_trial(TrialConfig(circ.code, variant, p, seed=seed, max_cycles=20_000),
-                  engine=warm)
+        run_trial(TrialConfig(p, seed=seed, max_cycles=20_000), engine=warm)
     assert all(_memo_sizes(warm))
 
     rng = np.random.default_rng(2024)
@@ -380,9 +381,9 @@ def test_warm_frame_engine_matches_fresh_engines(name, variant, p):
 
 
 def test_run_trial_takes_the_circuit_from_an_engine(monkeypatch):
-    cfg = TrialConfig(BIT_FLIP_CODE, Variant.SIMPLIFIED, 0.05, seed=3)
+    cfg = TrialConfig(0.05, seed=3)
     engine = make_engine(circuit_for("bf", Variant.SIMPLIFIED), "frame")
-    expected = run_trial(cfg, engine="frame")
+    expected = run_trial(cfg, engine=engine)
 
     def no_lookup(*args):
         raise AssertionError("circuit_for called with an engine in hand")
@@ -468,7 +469,7 @@ def test_make_engine_keeps_one_engine_per_circuit():
     other = build_circuit("bf", Variant.PERFECT)
     assert make_engine(other, "frame") is not make_engine(circ, "frame")
     assert make_engine(other, "frame").circuit is other
-    run_trial(TrialConfig(circ.code, Variant.PERFECT, 0.05, seed=1), engine="frame")
+    run_trial(TrialConfig(0.05, seed=1), engine=make_engine(circ, "frame"))
     assert make_engine(circ, "frame").memo_sizes()["fault_entries"] > 0
     engine = _FrameEngine(circ)
     assert engine.memo_sizes()["fault_entries"] == engine.memo_sizes()["orbit_entries"] == 0
@@ -674,8 +675,7 @@ def test_trials_on_both_sides_of_the_btpe_boundary(p, monkeypatch):
     ``default_rng`` itself.  Either way both engines agree."""
     circ = circuit_for("surface17", Variant.PERFECT)
     tab, frame = make_engine(circ, "tableau"), make_engine(circ, "frame")
-    cfgs = [TrialConfig(SURFACE17_CODE, Variant.PERFECT, p, seed=seed, max_cycles=120)
-            for seed in range(6)]
+    cfgs = [TrialConfig(p, seed=seed, max_cycles=120) for seed in range(6)]
     results = [run_trial(cfg, engine=frame) for cfg in cfgs]
     assert not all(res.censored for res in results)
     assert [run_trial(cfg, engine=tab) for cfg in cfgs] == results
@@ -723,7 +723,7 @@ def test_skip_and_full_methods_agree_in_distribution():
     for method in results:
         for seed in range(400):
             cfg = TrialConfig(
-                BIT_FLIP_CODE, Variant.SIMPLIFIED, 0.05,
+                0.05,
                 seed=trial_seed(1234, 0 if method == "skip" else 1, seed),
                 max_cycles=100_000,
             )

@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from mfqec.pauli import PauliOperator, pauli_product_phase
+from mfqec.pauli import PauliOperator
 from statevector import pauli_matrix
 
 labels = st.integers(2, 5).flatmap(
@@ -40,66 +40,6 @@ def test_bad_inputs():
         PauliOperator.from_label("+XQ")
     with pytest.raises(ValueError):
         PauliOperator(np.zeros(3), np.zeros(3), sign=2)
-    with pytest.raises(ValueError):
-        PauliOperator.from_label("+XX").compose(PauliOperator.from_label("+XXX"))
-
-
-# -- single-qubit product table, checked by hand and against matrices -----
-
-CASES_REAL = [
-    ("+X", "+X", "+I"),
-    ("+Y", "+Y", "+I"),
-    ("+Z", "+Z", "+I"),
-    ("+XX", "+YY", "-ZZ"),
-    ("+YY", "+XX", "-ZZ"),
-    ("+XY", "+YX", "+ZZ"),
-    ("-X", "+X", "-I"),
-    ("+ZZ", "-ZI", "-IZ"),
-]
-
-CASES_IMAGINARY = [
-    ("+X", "+Z"),
-    ("+Z", "+X"),
-    ("+X", "+Y"),
-    ("+Y", "+X"),
-    ("+Y", "+Z"),
-    ("+Z", "+Y"),
-    ("+XI", "+YI"),
-]
-
-
-@pytest.mark.parametrize("a,b,want", CASES_REAL)
-def test_compose_table(a, b, want):
-    got = PauliOperator.from_label(a).compose(PauliOperator.from_label(b))
-    assert got.label() == want
-
-
-@pytest.mark.parametrize("a,b", CASES_IMAGINARY)
-def test_compose_imaginary_raises(a, b):
-    with pytest.raises(ValueError, match="imaginary"):
-        PauliOperator.from_label(a).compose(PauliOperator.from_label(b))
-
-
-@given(labels, labels)
-@settings(max_examples=300, deadline=None)
-def test_compose_matches_matrix_product(a, b):
-    pa = PauliOperator.from_label(a)
-    pb = PauliOperator.from_label(b)
-    if pa.n != pb.n:
-        return
-    prod = pauli_matrix(pa) @ pauli_matrix(pb)
-    phase = pauli_product_phase(
-        pa.x, pa.z, pa.sign_bit, pb.x, pb.z, pb.sign_bit
-    )
-    if phase % 2:
-        with pytest.raises(ValueError):
-            pa.compose(pb)
-        # the matrix product must be i or -i times a Hermitian Pauli
-        herm = prod / (1j if phase == 1 else -1j)
-        assert np.allclose(herm, herm.conj().T)
-    else:
-        got = pa.compose(pb)
-        assert np.allclose(pauli_matrix(got), prod)
 
 
 @given(labels, labels)
@@ -112,15 +52,3 @@ def test_commutes_with_matches_matrices(a, b):
     ma, mb = pauli_matrix(pa), pauli_matrix(pb)
     commute = np.allclose(ma @ mb, mb @ ma)
     assert pa.commutes_with(pb) == commute
-
-
-@given(labels)
-@settings(max_examples=100, deadline=None)
-def test_self_product_is_identity(a):
-    p = PauliOperator.from_label(a)
-    assert p.compose(p).label() == "+" + "I" * p.n
-
-
-def test_expanded_pads_identities():
-    p = PauliOperator.from_label("-XZ").expanded(4)
-    assert p.label() == "-XZII"
