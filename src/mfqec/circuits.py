@@ -339,7 +339,7 @@ def _bf_half_cycle(cur, stale, removal, perfect):
     return seq
 
 
-def build_bf_circuit(variant: Variant) -> Circuit:
+def _build_bf_circuit(variant: Variant) -> Circuit:
     """Three-qubit bit-flip correction.  Layout: q0-q2 data, q3-q4 ancilla
     set A, q5-q6 ancilla set B, and for the perfect variant q7-q8 removal."""
     perfect = variant is Variant.PERFECT
@@ -448,7 +448,7 @@ def _s17_half_cycle(cur_z, cur_x, stale_z, stale_x, removal, perfect):
     return seq
 
 
-def build_surface17_circuit(variant: Variant) -> Circuit:
+def _build_surface17_circuit(variant: Variant) -> Circuit:
     """Distance-3 surface code correction.  Layout: q0-q8 data, q9-q16
     ancilla set A (four Z-syndrome then four X-syndrome), q17-q24 set B,
     and for the perfect variant q25-q28 removal."""
@@ -485,19 +485,24 @@ def build_surface17_circuit(variant: Variant) -> Circuit:
     return circ
 
 
-_BUILDERS = {
-    "bf": build_bf_circuit,
-    "surface17": build_surface17_circuit,
+# The one list of buildable circuits: each code name, its builder and the
+# variants it builds, in listing order.
+CIRCUITS = {
+    "bf": (_build_bf_circuit, (Variant.PERFECT, Variant.SIMPLIFIED)),
+    "surface17": (_build_surface17_circuit, (Variant.PERFECT, Variant.SIMPLIFIED)),
+    "unencoded": (lambda variant: build_unencoded_circuit(), (Variant.NONE,)),
 }
 
 
 def build_circuit(code_name: str, variant: Variant) -> Circuit:
-    if variant is Variant.NONE:
-        return build_unencoded_circuit()
+    """The circuit of a (code, variant) pair listed in ``CIRCUITS``; any
+    other pair is a ValueError."""
     try:
-        builder = _BUILDERS[code_name]
+        builder, variants = CIRCUITS[code_name]
     except KeyError:
         raise ValueError(f"unknown code {code_name!r}") from None
+    if variant not in variants:
+        raise ValueError(f"code {code_name!r} has no {variant.value!r} variant")
     return builder(variant)
 
 

@@ -38,8 +38,8 @@ import os
 import sys
 from dataclasses import dataclass, fields
 
-from .circuits import Variant, build_circuit, circuit_listing
-from .codes import CODES, UNENCODED
+from .circuits import CIRCUITS, Variant, build_circuit, circuit_listing
+from .codes import CODES
 from .threshold import (
     NoCrossing,
     SweepPoint,
@@ -62,6 +62,8 @@ CSV_HEADER = [
 ]
 
 WORKERS_ENV_VAR = "MFQEC_WORKERS"
+
+VARIANTS = [v.value for v in Variant]
 
 
 class ConfigError(ValueError):
@@ -87,16 +89,15 @@ class RunConfig:
     engine: str = "frame"
 
     def __post_init__(self):
-        if self.code not in CODES and self.code != "unencoded":
+        if self.code not in CODES:
             raise ConfigError(
                 f"code: must be one of {sorted(CODES)}, got {self.code!r}"
             )
-        if self.variant not in ("perfect", "simplified", "none"):
+        if self.variant not in VARIANTS:
             raise ConfigError(
-                "variant: must be 'perfect', 'simplified' or 'none', "
-                f"got {self.variant!r}"
+                f"variant: must be one of {VARIANTS}, got {self.variant!r}"
             )
-        _check_code_variant(self.code, self.variant)
+        _circuit_pairs(self.code, self.variant)
         if not self.p_grid:
             raise ConfigError("p_grid: at least one physical error rate required")
         for p in self.p_grid:
@@ -124,8 +125,6 @@ class RunConfig:
 
     @property
     def code_spec(self):
-        if self.variant == "none":
-            return UNENCODED  # the idle baseline ignores the code field
         return CODES[self.code]
 
     @property
@@ -133,16 +132,22 @@ class RunConfig:
         return Variant(self.variant)
 
 
-def _check_code_variant(code, variant) -> None:
-    """The code/variant rule of ``run`` and ``list-circuits``: the unencoded
-    baseline runs only under variant 'none', or with no variant given
-    (``list-circuits --code unencoded``).  Any code under 'none' means the
-    unencoded baseline."""
-    if code == "unencoded" and variant not in (None, "none"):
+def _circuit_pairs(code, variant) -> list:
+    """The (code, Variant) pairs of ``CIRCUITS`` that match ``code`` and
+    ``variant`` (None matches any), in table order: the code/variant rule
+    of ``run`` and ``list-circuits``.  No match is a config error."""
+    pairs = [
+        (c, v)
+        for c, (_, variants) in CIRCUITS.items()
+        for v in variants
+        if code in (None, c) and variant in (None, v.value)
+    ]
+    if not pairs:
+        takes = " or ".join(repr(v.value) for v in CIRCUITS[code][1])
         raise ConfigError(
-            "variant: the unencoded baseline only supports 'none', "
-            f"got {variant!r}"
+            f"variant: code {code!r} takes only {takes}, got {variant!r}"
         )
+    return pairs
 
 
 def _is_int(value) -> bool:
@@ -395,23 +400,8 @@ def plot_command(args) -> int:
 # ---------------------------------------------------------------------------
 
 def list_circuits_command(args) -> int:
-    _check_code_variant(args.code, args.variant)
-    if args.code == "unencoded" or args.variant == "none":
-        selection = [("unencoded", Variant.NONE)]
-    elif args.code and args.variant:
-        selection = [(args.code, Variant(args.variant))]
-    else:
-        codes = [args.code] if args.code else sorted(CODES)
-        variants = (
-            [Variant(args.variant)]
-            if args.variant
-            else [Variant.PERFECT, Variant.SIMPLIFIED]
-        )
-        selection = [(c, v) for c in codes for v in variants]
-        if not args.code and not args.variant:
-            selection.append(("unencoded", Variant.NONE))
     first = True
-    for code_name, variant in selection:
+    for code_name, variant in _circuit_pairs(args.code, args.variant):
         circ = build_circuit(code_name, variant)
         for which in ("a", "b"):
             if not first:
@@ -454,8 +444,8 @@ def build_parser() -> argparse.ArgumentParser:
         ),
     )
     run.add_argument("--config", help="JSON configuration file")
-    run.add_argument("--code", choices=sorted(CODES) + ["unencoded"])
-    run.add_argument("--variant", choices=["perfect", "simplified", "none"])
+    run.add_argument("--code", choices=sorted(CODES))
+    run.add_argument("--variant", choices=VARIANTS)
     run.add_argument(
         "--p", "--p-grid", dest="p", type=float, action="append",
         help="physical error rate grid point (repeatable, increasing)",
@@ -490,8 +480,8 @@ def build_parser() -> argparse.ArgumentParser:
     lst = sub.add_parser(
         "list-circuits", help="print circuit instruction listings"
     )
-    lst.add_argument("--code", choices=sorted(CODES) + ["unencoded"])
-    lst.add_argument("--variant", choices=["perfect", "simplified", "none"])
+    lst.add_argument("--code", choices=sorted(CODES))
+    lst.add_argument("--variant", choices=VARIANTS)
     lst.set_defaults(func=list_circuits_command)
     return parser
 

@@ -161,4 +161,5 @@ UNENCODED = CodeSpec(
 CODES = {
     "bf": BIT_FLIP_CODE,
     "surface17": SURFACE17_CODE,
+    "unencoded": UNENCODED,
 }

@@ -50,7 +50,7 @@ from itertools import chain, product
 import numpy as np
 
 from .circuits import Circuit, GateKind, Variant, build_circuit
-from .codes import UNENCODED, CodeSpec
+from .codes import CodeSpec
 from .pauli import PauliOperator
 from .errors import (
     ErrorEvent,
@@ -91,16 +91,9 @@ class TrialResult:
     censored: bool
 
 
-def circuit_for(code_name: str, variant: Variant) -> Circuit:
-    """The shared circuit of (code, variant).  Every code name runs the
-    one unencoded circuit under ``Variant.NONE``, so all of them share it."""
-    if variant is Variant.NONE:
-        code_name = UNENCODED.name
-    return _built_circuit(code_name, variant)
-
-
 @lru_cache(maxsize=None)
-def _built_circuit(code_name: str, variant: Variant) -> Circuit:
+def circuit_for(code_name: str, variant: Variant) -> Circuit:
+    """``build_circuit``, built once per process and shared by its callers."""
     return build_circuit(code_name, variant)
 
 

@@ -73,15 +73,6 @@ class PauliOperator:
     def sign(self) -> int:
         return -1 if self.sign_bit else 1
 
-    def weight(self) -> int:
-        return int(np.count_nonzero(self.x | self.z))
-
-    def support(self) -> tuple:
-        return tuple(np.nonzero(self.x | self.z)[0].tolist())
-
-    def is_identity(self) -> bool:
-        return self.weight() == 0
-
     def commutes_with(self, other: "PauliOperator") -> bool:
         sym = int(self.x @ other.z) + int(self.z @ other.x)
         return sym % 2 == 0

@@ -27,7 +27,6 @@ __all__ = [
     "ThresholdEstimate",
     "NoCrossing",
     "iter_sweep",
-    "sweep_physical_error_rates",
     "sweep_point",
     "find_threshold_crossing",
 ]
@@ -96,11 +95,6 @@ class ThresholdEstimate:
             )
 
 
-def sweep_physical_error_rates(*args, **kwargs) -> list:
-    """``list(iter_sweep(...))``: all points of a sweep at once."""
-    return list(iter_sweep(*args, **kwargs))
-
-
 def iter_sweep(
     code: CodeSpec,
     variant: Variant,
@@ -161,7 +155,7 @@ def sweep_point(
     progress: Optional[Callable[[str], None]] = None,
 ) -> SweepPoint:
     """One grid point, seeded by (master_seed, index) exactly as
-    sweep_physical_error_rates seeds the point at that grid position."""
+    iter_sweep seeds the point at that grid position."""
     trial_progress = None
     if progress is not None:
         trial_progress = lambda done, total: progress(  # noqa: E731

@@ -40,7 +40,7 @@ from mfqec.montecarlo import (
 )
 from mfqec.pauli import PauliOperator
 from mfqec.tableau import Sign, Tableau
-from mfqec.threshold import find_threshold_crossing, sweep_physical_error_rates
+from mfqec.threshold import find_threshold_crossing, iter_sweep
 from statevector import StateVector
 
 MASTER_SEED = 42
@@ -76,14 +76,14 @@ WINDOWS = {
 @lru_cache(maxsize=None)
 def _threshold(code_name: str, variant: str):
     grid, trials = SWEEPS[(code_name, variant)]
-    points = sweep_physical_error_rates(
+    points = list(iter_sweep(
         CODES[code_name],
         Variant(variant),
         [float(p) for p in grid],
         trials,
         MASTER_SEED,
         engine="frame",
-    )
+    ))
     est = find_threshold_crossing(points, n_bootstrap=500, seed=1)
     return est, min(pt.n_failures for pt in points), len(points)
 

@@ -341,8 +341,14 @@ def test_cycle_accessor():
 def test_build_dispatch():
     with pytest.raises(ValueError, match="unknown code"):
         build_circuit("nope", Variant.PERFECT)
-    # variant "none" always means the unencoded baseline
-    assert build_circuit("bf", Variant.NONE) == build_unencoded_circuit()
+    assert build_circuit("unencoded", Variant.NONE) == build_unencoded_circuit()
+    for name, variant in [
+        ("bf", Variant.NONE),
+        ("surface17", Variant.NONE),
+        ("unencoded", Variant.PERFECT),
+    ]:
+        with pytest.raises(ValueError, match="has no"):
+            build_circuit(name, variant)
 
 
 # ---------------------------------------------------------------------------

@@ -86,6 +86,8 @@ def _run(tmp_path, *extra, grid=("0.005", "0.05"), trials="60", name="results.cs
         (dict(output_path=""), "output_path"),
         (dict(trials=True), "trials"),
         (dict(master_seed=False), "master_seed"),
+        (dict(code="bf", variant="none"), "variant"),
+        (dict(code="surface17", variant="none"), "variant"),
     ],
 )
 def test_run_config_names_offending_field(overrides, field):
@@ -463,4 +465,11 @@ def test_list_circuits_unencoded(capsys):
     captured = capsys.readouterr()
     assert rc == 1
     assert captured.out == ""
-    assert "variant: the unencoded baseline only supports 'none'" in captured.err
+    assert "variant: code 'unencoded' takes only 'none'" in captured.err
+
+    # 'none' is the unencoded qubit's variant only
+    rc = main(["list-circuits", "--code", "bf", "--variant", "none"])
+    captured = capsys.readouterr()
+    assert rc == 1
+    assert captured.out == ""
+    assert "variant: code 'bf' takes only 'perfect' or 'simplified'" in captured.err

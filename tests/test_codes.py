@@ -4,6 +4,7 @@ the built-in three-qubit repetition and distance-3 surface codes."""
 import numpy as np
 import pytest
 
+from mfqec.circuits import CIRCUITS
 from mfqec.codes import (
     BIT_FLIP_CODE,
     CODES,
@@ -95,6 +96,10 @@ class TestRegistry:
     def test_codes_by_name(self):
         assert CODES["bf"] is BIT_FLIP_CODE
         assert CODES["surface17"] is SURFACE17_CODE
+        assert CODES["unencoded"] is UNENCODED
+
+    def test_every_code_has_circuits(self):
+        assert set(CIRCUITS) == set(CODES)
 
 
 class TestValidation:

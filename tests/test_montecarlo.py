@@ -392,12 +392,10 @@ def test_run_trial_takes_the_circuit_from_an_engine(monkeypatch):
     assert run_trial(cfg, engine=engine) == expected
 
 
-def test_every_code_shares_the_unencoded_circuit():
-    estimate_logical_error_rate(BIT_FLIP_CODE, Variant.NONE, 0.05, 4, 0,
-                                engine="frame")
-    unencoded = circuit_for("unencoded", Variant.NONE)
-    assert circuit_for("bf", Variant.NONE) is unencoded
-    assert circuit_for("surface17", Variant.NONE) is unencoded
+def test_estimate_rejects_a_code_under_variant_none():
+    with pytest.raises(ValueError):
+        estimate_logical_error_rate(BIT_FLIP_CODE, Variant.NONE, 0.05, 4, 0,
+                                    engine="frame")
 
 
 def _fault_event(circ, selector, key):

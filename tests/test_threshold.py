@@ -18,7 +18,7 @@ from mfqec.threshold import (
     SweepPoint,
     ThresholdEstimate,
     find_threshold_crossing,
-    sweep_physical_error_rates,
+    iter_sweep,
     sweep_point,
 )
 
@@ -177,25 +177,25 @@ def test_bootstrap_ci_from_failure_cycles():
 def test_sweep_grid_validation():
     for bad in ([0.0, 0.1], [0.1, 1.0], [-0.2]):
         with pytest.raises(ValueError, match="in \\(0, 1\\)"):
-            sweep_physical_error_rates(
+            list(iter_sweep(
                 BIT_FLIP_CODE, Variant.SIMPLIFIED, bad, 5, 1
-            )
+            ))
     for bad in ([0.2, 0.1], [0.1, 0.1]):
         with pytest.raises(ValueError, match="strictly increasing"):
-            sweep_physical_error_rates(
+            list(iter_sweep(
                 BIT_FLIP_CODE, Variant.SIMPLIFIED, bad, 5, 1
-            )
+            ))
 
 
 def test_sweep_end_to_end_and_point_independence():
     grid = [0.02, 0.05]
     kwargs = dict(max_cycles=100_000, engine="frame")
-    points = sweep_physical_error_rates(
+    points = list(iter_sweep(
         BIT_FLIP_CODE, Variant.SIMPLIFIED, grid, 40, 3, **kwargs
-    )
-    again = sweep_physical_error_rates(
+    ))
+    again = list(iter_sweep(
         BIT_FLIP_CODE, Variant.SIMPLIFIED, grid, 40, 3, **kwargs
-    )
+    ))
     assert points == again
     assert [pt.p for pt in points] == grid
     for index, pt in enumerate(points):
@@ -213,10 +213,10 @@ def test_sweep_end_to_end_and_point_independence():
 
 def test_sweep_progress_messages():
     messages = []
-    sweep_physical_error_rates(
+    list(iter_sweep(
         BIT_FLIP_CODE, Variant.SIMPLIFIED, [0.05], 40, 3,
         max_cycles=100_000, engine="frame", progress=messages.append,
-    )
+    ))
     assert any(m.startswith("point 1/1") for m in messages)
     assert any(m.strip() == "40/40 trials" for m in messages)
 
