@@ -1,0 +1,326 @@
+/* One skip-sampled time-to-failure trial on a compiled Pauli frame.
+ *
+ * This is run_trial(cfg, frame_engine) of montecarlo.py in C: the same
+ * draws, in the same order, from the same PCG64 stream that
+ * np.random.default_rng(seed) gives, so a trial ends on the same cycle.
+ * Python seeds the generator and computes every constant that needs exp or
+ * lgamma (montecarlo._kernel_trials); this file only calls log1p.
+ *
+ * Built by mfqec/kernel.py with -O2 -ffp-contract=off and no fast-math, so
+ * that every double is rounded as Python rounds it.
+ */
+#include <math.h>
+#include <stdint.h>
+#include <string.h>
+
+typedef __uint128_t u128;
+
+/* numpy's PCG64: a 128-bit LCG stepped before each output, XSL-RR output,
+ * and next_uint32 serving the high half of a word on the following call. */
+typedef struct {
+    u128 state, inc;
+    uint32_t half;
+    int has_half;
+} pcg64_t;
+
+#define PCG64_MULTIPLIER \
+    (((u128)0x2360ED051FC65DA4ULL << 64) | (u128)0x4385DF649FCCF645ULL)
+
+static void pcg64_init(pcg64_t *rng, uint64_t state_hi, uint64_t state_lo,
+                       uint64_t inc_hi, uint64_t inc_lo)
+{
+    rng->state = (u128)state_hi << 64 | state_lo;
+    rng->inc = (u128)inc_hi << 64 | inc_lo;
+    rng->half = 0;
+    rng->has_half = 0;
+}
+
+static inline uint64_t next_uint64(pcg64_t *rng)
+{
+    rng->state = rng->state * PCG64_MULTIPLIER + rng->inc;
+    uint64_t x = (uint64_t)(rng->state >> 64) ^ (uint64_t)rng->state;
+    unsigned rot = (unsigned)(rng->state >> 122);
+    return (x >> rot) | (x << ((64 - rot) & 63));
+}
+
+/* Generator.random(): the top 53 bits of a word; the buffered half stays. */
+static inline double next_double(pcg64_t *rng)
+{
+    return (double)(next_uint64(rng) >> 11) * (1.0 / 9007199254740992.0);
+}
+
+static inline uint32_t next_uint32(pcg64_t *rng)
+{
+    if (rng->has_half) {
+        rng->has_half = 0;
+        return rng->half;
+    }
+    uint64_t word = next_uint64(rng);
+    rng->half = (uint32_t)(word >> 32);
+    rng->has_half = 1;
+    return (uint32_t)word;
+}
+
+/* Generator.integers(n) for 1 <= n <= 2**32: Lemire's bounded draw on
+ * next_uint32; a range of one value draws nothing. */
+static inline uint32_t bounded(pcg64_t *rng, uint64_t n)
+{
+    if (n == 1)
+        return 0;
+    uint64_t m = (uint64_t)next_uint32(rng) * n;
+    if ((m & 0xFFFFFFFFULL) < n) {
+        uint64_t threshold = (0x100000000ULL - n) % n;
+        while ((m & 0xFFFFFFFFULL) < threshold)
+            m = (uint64_t)next_uint32(rng) * n;
+    }
+    return (uint32_t)(m >> 32);
+}
+
+/* Per-(p, N) constants, computed in Python. */
+typedef struct {
+    double log_clean;        /* N·log1p(-p): log P(a cycle has no error) */
+    const double *count_cdf; /* N entries: CDF of the error count given >= 1 */
+    double bin_p, bin_q, bin_qn; /* inversion at p' = min(p, 1-p): p', 1-p', (1-p')**N */
+    int64_t bin_bound;       /* numpy's inversion bound */
+    int64_t bin_reflect;     /* 1 when p > 0.5: the count is N - inversion */
+} rate_t;
+
+/* Generator.binomial(N, p) by numpy's inversion, reflected for p > 0.5. */
+static int64_t binomial(pcg64_t *rng, int64_t n, const rate_t *r)
+{
+    const double p = r->bin_p, q = r->bin_q, qn = r->bin_qn;
+    int64_t x = 0;
+    double px = qn;
+    double u = next_double(rng);
+    while (u > px) {
+        x++;
+        if (x > r->bin_bound) {
+            x = 0;
+            px = qn;
+            u = next_double(rng);
+        } else {
+            u -= px;
+            px = ((double)(n - x + 1) * p * px) / ((double)x * q);
+        }
+    }
+    return r->bin_reflect ? n - x : x;
+}
+
+/* One cycle (a or b) compiled for the frame, as _FrameEngine._compile. */
+enum { OP_H, OP_CNOT, OP_TOFX, OP_TOFZ, OP_RESET };
+enum { CH_MEMORY, CH_TWO_QUBIT, CH_THREE_QUBIT, CH_INIT };
+
+typedef struct {
+    int64_t n_ops;
+    const uint64_t *ops;   /* n_ops rows (opcode, mask, mask, mask) */
+    const uint64_t *sites; /* N rows (ops before its event, channel, 3 qubit masks) */
+} cycle_t;
+
+#define OP_ROW 4
+#define SITE_ROW 5
+
+typedef struct {
+    cycle_t cycle[2];      /* a, b */
+    int64_t n_sites;       /* N, the same in both cycles */
+    int64_t n_gens;
+    const uint64_t *gens;  /* n_gens rows (x mask, z mask) */
+    uint64_t zl_mask, nondata_mask;
+} circuit_t;
+
+/* Classification, as montecarlo.Classification. */
+enum { CLEAN_ZERO, LOGICAL_FLIP, RESIDUAL };
+
+static void exec_ops(const uint64_t *op, const uint64_t *end,
+                     uint64_t *fx_, uint64_t *fz_)
+{
+    uint64_t fx = *fx_, fz = *fz_;
+    if (!(fx | fz))
+        return; /* no op changes the all-zero frame */
+    for (; op < end; op += OP_ROW) {
+        switch (op[0]) {
+        case OP_CNOT:
+            if (fx & op[1])
+                fx ^= op[2];
+            if (fz & op[2])
+                fz ^= op[1];
+            break;
+        case OP_TOFX:
+            if ((fx & op[1]) && (fx & op[2]))
+                fx ^= op[3];
+            break;
+        case OP_TOFZ:
+            if ((fx & op[1]) && (fx & op[2]))
+                fz ^= op[3];
+            break;
+        case OP_RESET:
+            fx &= ~op[1];
+            fz &= ~op[1];
+            break;
+        default: /* OP_H: swap the two frame bits on the qubit */
+            if (!(fx & op[1]) != !(fz & op[1])) {
+                fx ^= op[1];
+                fz ^= op[1];
+            }
+        }
+    }
+    *fx_ = fx;
+    *fz_ = fz;
+}
+
+static int classify(const circuit_t *c, uint64_t fx, uint64_t fz)
+{
+    for (int64_t i = 0; i < c->n_gens; i++) {
+        const uint64_t *g = c->gens + 2 * i;
+        if (__builtin_parityll((g[0] & fz) ^ (g[1] & fx)))
+            return RESIDUAL;
+    }
+    if (__builtin_parityll(c->zl_mask & fx))
+        return LOGICAL_FLIP;
+    if (fx & c->nondata_mask)
+        return RESIDUAL;
+    return CLEAN_ZERO;
+}
+
+/* Base-4 Pauli letters I, X, Y, Z = 0..3 onto the frame bits of a qubit. */
+static inline void apply_letter(unsigned letter, uint64_t mask,
+                                uint64_t *fx, uint64_t *fz)
+{
+    if (letter == 1 || letter == 2)
+        *fx ^= mask;
+    if (letter == 2 || letter == 3)
+        *fz ^= mask;
+}
+
+/* Draw k distinct sites of n, ascending, as montecarlo._choose_sites:
+ * Floyd's algorithm, then the k-1 draws numpy's choice spends on its
+ * shuffle.  `mark` is n zero bytes and is left zero. */
+static void choose_sites(pcg64_t *rng, int64_t n, int64_t k, int64_t *out,
+                         unsigned char *mark)
+{
+    for (int64_t j = n - k, m = 0; j < n; j++, m++) {
+        int64_t v = bounded(rng, (uint64_t)j + 1);
+        if (mark[v])
+            v = j;
+        mark[v] = 1;
+        /* insertion into the ascending prefix out[0..m) */
+        int64_t i = m;
+        while (i > 0 && out[i - 1] > v) {
+            out[i] = out[i - 1];
+            i--;
+        }
+        out[i] = v;
+    }
+    for (int64_t i = k; i > 1; i--)
+        bounded(rng, (uint64_t)i);
+    for (int64_t i = 0; i < k; i++)
+        mark[out[i]] = 0;
+}
+
+/* One cycle from frame (fx, fz) with k errors, their Paulis drawn in site
+ * order as montecarlo._draw_cycle_events draws them. */
+static int run_cycle(const circuit_t *c, const cycle_t *cy, pcg64_t *rng,
+                     const int64_t *chosen, int64_t k,
+                     uint64_t *fx, uint64_t *fz)
+{
+    const uint64_t *ops = cy->ops;
+    int64_t done = 0;
+    for (int64_t e = 0; e < k; e++) {
+        const uint64_t *site = cy->sites + SITE_ROW * chosen[e];
+        int64_t upto = (int64_t)site[0];
+        exec_ops(ops + OP_ROW * done, ops + OP_ROW * upto, fx, fz);
+        done = upto;
+        unsigned idx;
+        switch (site[1]) {
+        case CH_MEMORY:
+            apply_letter(1 + bounded(rng, 3), site[2], fx, fz);
+            break;
+        case CH_TWO_QUBIT:
+            idx = 1 + bounded(rng, 15);
+            apply_letter(idx >> 2, site[2], fx, fz);
+            apply_letter(idx & 3, site[3], fx, fz);
+            break;
+        case CH_THREE_QUBIT:
+            idx = 1 + bounded(rng, 63);
+            apply_letter(idx >> 4, site[2], fx, fz);
+            apply_letter((idx >> 2) & 3, site[3], fx, fz);
+            apply_letter(idx & 3, site[4], fx, fz);
+            break;
+        default: /* CH_INIT: X, no draw */
+            apply_letter(1, site[2], fx, fz);
+        }
+    }
+    exec_ops(ops + OP_ROW * done, ops + OP_ROW * cy->n_ops, fx, fz);
+    int cls = classify(c, *fx, *fz);
+    if (cls == CLEAN_ZERO)
+        *fx = *fz = 0; /* same quantum state; canonicalize the frame */
+    return cls;
+}
+
+/* One trial from the PCG64 state (state, inc) as 64-bit halves, with no
+ * buffered half-word.  Returns the cycle of the logical flip (>= 1), or 0
+ * when the trial reaches max_cycles first (censored). */
+int64_t mfqec_skip_trial(const circuit_t *c, const rate_t *r, int64_t max_cycles,
+                         uint64_t state_hi, uint64_t state_lo,
+                         uint64_t inc_hi, uint64_t inc_lo)
+{
+    pcg64_t rng;
+    const int64_t n = c->n_sites;
+    int64_t chosen[n];      /* 9·N bytes of stack: 6 kB at surface17's N = 675 */
+    unsigned char mark[n];
+    uint64_t fx = 0, fz = 0;
+    int64_t t = 0;
+    int clean = 1;
+
+    memset(mark, 0, (size_t)n);
+    pcg64_init(&rng, state_hi, state_lo, inc_hi, inc_lo);
+    while (t < max_cycles) {
+        int64_t k;
+        if (clean) {
+            /* errors.sample_clean_run_length, then t += length */
+            double run = floor(log1p(-next_double(&rng)) / r->log_clean);
+            if (run >= 9223372036854775808.0 || (int64_t)run >= max_cycles - t)
+                break;
+            t += (int64_t)run;
+            /* errors.sample_error_count_given_any: bisect_right + 1 */
+            double u = next_double(&rng);
+            int64_t lo = 0, hi = n;
+            while (lo < hi) {
+                int64_t mid = (lo + hi) / 2;
+                if (u < r->count_cdf[mid])
+                    hi = mid;
+                else
+                    lo = mid + 1;
+            }
+            k = lo + 1;
+        } else {
+            k = binomial(&rng, n, r);
+        }
+        if (k)
+            choose_sites(&rng, n, k, chosen, mark);
+        int cls = run_cycle(c, &c->cycle[t & 1], &rng, chosen, k, &fx, &fz);
+        t++;
+        if (cls == LOGICAL_FLIP)
+            return t;
+        clean = cls == CLEAN_ZERO;
+    }
+    return 0;
+}
+
+/* Test hook: from a PCG64 state, make the draws of `program`, writing each
+ * value to `out`: -2 is random(), -1 is binomial(n, p) at the constants of
+ * `r`, and v >= 1 is integers(v). */
+void mfqec_draws(uint64_t state_hi, uint64_t state_lo, uint64_t inc_hi,
+                 uint64_t inc_lo, const rate_t *r, int64_t n,
+                 const int64_t *program, int64_t n_draws, double *out)
+{
+    pcg64_t rng;
+    pcg64_init(&rng, state_hi, state_lo, inc_hi, inc_lo);
+    for (int64_t i = 0; i < n_draws; i++) {
+        if (program[i] == -2)
+            out[i] = next_double(&rng);
+        else if (program[i] == -1)
+            out[i] = (double)binomial(&rng, n, r);
+        else
+            out[i] = (double)bounded(&rng, (uint64_t)program[i]);
+    }
+}

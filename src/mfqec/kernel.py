@@ -1,0 +1,141 @@
+"""Build and load the C trial kernel, ``_kernel.c``.
+
+The kernel runs one whole skip-sampled trial on a frame engine's compiled
+cycles (``montecarlo._kernel_trials`` decides when).  It is built on first
+use with ``gcc -O2 -shared -fPIC -ffp-contract=off``: no fast-math, no
+``-march=native`` and no contraction into FMA, so that every double is
+rounded as Python rounds it and the trial consumes the RNG stream exactly
+as the Python loop does.  The library goes to ``__pycache__`` next to this
+file, named by a hash of the source and the flags; it is compiled to a
+temporary name and moved into place with ``os.replace``, so that processes
+building at once (pool workers) all end up loading one complete file.
+``library()`` loads it with ``ctypes`` once per process; if that fails (no
+compiler, a read-only package directory) it warns once and returns None,
+and the trials run in Python.
+"""
+from __future__ import annotations
+
+import ctypes
+import hashlib
+import os
+import subprocess
+import warnings
+from pathlib import Path
+
+SOURCE = Path(__file__).with_name("_kernel.c")
+BUILD_DIR = Path(__file__).with_name("__pycache__")
+CFLAGS = ("-O2", "-shared", "-fPIC", "-ffp-contract=off")
+
+_u64, _i64, _f64 = ctypes.c_uint64, ctypes.c_int64, ctypes.c_double
+_MASK64 = (1 << 64) - 1
+
+
+class Cycle(ctypes.Structure):
+    """``cycle_t``: one compiled cycle.  ``ops`` rows are (opcode, mask,
+    mask, mask); ``sites`` rows are (ops before the site's event, channel,
+    three qubit masks)."""
+    _fields_ = [("n_ops", _i64), ("ops", ctypes.POINTER(_u64)),
+                ("sites", ctypes.POINTER(_u64))]
+
+
+class Circuit(ctypes.Structure):
+    """``circuit_t``: cycles a and b, the site count and the classifier's
+    masks; ``gens`` rows are (x mask, z mask)."""
+    _fields_ = [("cycle", Cycle * 2), ("n_sites", _i64), ("n_gens", _i64),
+                ("gens", ctypes.POINTER(_u64)), ("zl_mask", _u64),
+                ("nondata_mask", _u64)]
+
+
+class Rate(ctypes.Structure):
+    """``rate_t``: the per-(p, N) constants of a trial's draws."""
+    _fields_ = [("log_clean", _f64), ("count_cdf", ctypes.POINTER(_f64)),
+                ("bin_p", _f64), ("bin_q", _f64), ("bin_qn", _f64),
+                ("bin_bound", _i64), ("bin_reflect", _i64)]
+
+
+def _array(ctype, values):
+    return (ctype * max(1, len(values)))(*values)
+
+
+def pack_circuit(cycles, n_sites: int, gens, zl_mask: int, nondata_mask: int) -> Circuit:
+    """A ``Circuit`` from two (op rows, site rows) pairs and the classifier's
+    masks; it keeps its arrays alive."""
+    packed = Circuit(n_sites=n_sites, n_gens=len(gens), zl_mask=zl_mask,
+                     nondata_mask=nondata_mask)
+    keep = [_array(_u64, [m for g in gens for m in g])]
+    packed.gens = keep[0]
+    for i, (ops, sites) in enumerate(cycles):
+        ops_arr = _array(_u64, [v for row in ops for v in row])
+        sites_arr = _array(_u64, [v for row in sites for v in row])
+        packed.cycle[i] = Cycle(len(ops), ops_arr, sites_arr)
+        keep += [ops_arr, sites_arr]
+    packed._keep = keep
+    return packed
+
+
+def pack_rate(log_clean: float, count_cdf, p: float, q: float, qn: float,
+              bound: int, reflect: bool) -> Rate:
+    """A ``Rate``; it keeps its count table alive."""
+    cdf = _array(_f64, count_cdf)
+    packed = Rate(log_clean, cdf, p, q, qn, bound, int(reflect))
+    packed._keep = cdf
+    return packed
+
+
+def state_words(state: dict) -> tuple:
+    """The four 64-bit words (state high, state low, inc high, inc low) the
+    kernel starts from, out of a ``PCG64().state`` dict."""
+    s, inc = state["state"]["state"], state["state"]["inc"]
+    return s >> 64, s & _MASK64, inc >> 64, inc & _MASK64
+
+
+def library_path(directory) -> Path:
+    """Where the library built from today's source and flags lives."""
+    digest = hashlib.sha256(SOURCE.read_bytes() + " ".join(CFLAGS).encode())
+    return Path(directory) / f"_kernel-{digest.hexdigest()[:16]}.so"
+
+
+def build(directory) -> Path:
+    """The library in ``directory``, compiled first if it is not there."""
+    path = library_path(directory)
+    if not path.exists():
+        path.parent.mkdir(parents=True, exist_ok=True)
+        tmp = path.with_name(f"{path.name}.{os.getpid()}.tmp")
+        try:
+            subprocess.run(["gcc", *CFLAGS, "-o", str(tmp), str(SOURCE), "-lm"],
+                           check=True, capture_output=True, text=True, timeout=120)
+            os.replace(tmp, path)
+        finally:
+            tmp.unlink(missing_ok=True)
+    return path
+
+
+def load(directory):
+    """``ctypes`` handle of the library in ``directory`` (built if needed),
+    with the prototypes of its two entry points."""
+    lib = ctypes.CDLL(str(build(directory)))
+    lib.mfqec_skip_trial.argtypes = [ctypes.POINTER(Circuit), ctypes.POINTER(Rate), _i64,
+                                     _u64, _u64, _u64, _u64]
+    lib.mfqec_skip_trial.restype = _i64
+    lib.mfqec_draws.argtypes = [_u64, _u64, _u64, _u64, ctypes.POINTER(Rate), _i64,
+                                ctypes.POINTER(_i64), _i64, ctypes.POINTER(_f64)]
+    lib.mfqec_draws.restype = None
+    return lib
+
+
+_LIBRARY = []  # [handle or None] once the first load was tried
+
+
+def library():
+    """This process's kernel, loaded from ``BUILD_DIR`` on first call; None
+    (after one ``RuntimeWarning``) if it cannot be built or loaded."""
+    if not _LIBRARY:
+        try:
+            lib = load(BUILD_DIR)
+        except (OSError, subprocess.SubprocessError) as exc:
+            detail = getattr(exc, "stderr", None) or exc
+            warnings.warn(f"C trial kernel unavailable, trials run in Python: {detail}",
+                          RuntimeWarning, stacklevel=2)
+            lib = None
+        _LIBRARY.append(lib)
+    return _LIBRARY[0]

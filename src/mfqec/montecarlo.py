@@ -37,6 +37,20 @@ turned into doubles, bounded integers and binomial counts in Python exactly
 as ``np.random.Generator`` turns them (``_PCG64Draws``), so the stream is
 the one ``default_rng(seed)`` gives; only where numpy's binomial runs BTPE
 (min(p, 1-p)·N > 30) does a trial draw from ``default_rng`` itself.
+
+Estimates run whole trials in a C kernel (``_kernel.c``, built and loaded
+by ``mfqec.kernel``) when the engine is a plain frame engine, p > 0 and
+min(p, 1-p)·N <= 30 (``_kernel_trials`` has the full list).  The kernel
+steps PCG64 itself from the state of ``PCG64(trial_seed(...))`` and makes
+the same draws in the same order, so its trials end on the cycles
+``run_trial`` gives; the tests compare the two trial for trial.  It is
+built on first use with ``gcc -O2 -ffp-contract=off`` and no fast-math, so
+that no double is rounded differently from Python, into ``__pycache__``
+beside the source.  Everything else runs ``run_trial``, the portable path
+and the oracle: the tableau, ``method="full"``, the BTPE range, a machine
+where the build fails (one ``RuntimeWarning``), and an engine wrapped in a
+proxy, as the benchmark's traced mode does, so a traced run measures the
+Python loop.
 """
 from __future__ import annotations
 
@@ -53,8 +67,11 @@ from .circuits import Circuit, GateKind, Variant, build_circuit
 from .codes import CodeSpec
 from .pauli import PauliOperator
 from .errors import (
+    ErrorChannel,
     ErrorEvent,
+    clean_cycle_log_probability,
     draw_event_paulis,
+    error_count_cdf,
     event_pauli,
     sample_clean_run_length,
     sample_error_count_given_any,
@@ -185,6 +202,10 @@ class _TableauEngine:
 
 _OP_H, _OP_CNOT, _OP_TOFX, _OP_TOFZ, _OP_RESET = range(5)
 
+# The channel numbers of the C kernel's site rows.
+_CHANNEL_CODES = {ErrorChannel.MEMORY: 0, ErrorChannel.TWO_QUBIT: 1,
+                  ErrorChannel.THREE_QUBIT: 2, ErrorChannel.INIT: 3}
+
 # Base-4 index of an event's Pauli letters (I, X, Y, Z = 0..3, first qubit
 # most significant): below 64 for the at most three qubits of a site.
 _PAULI_INDEX = {
@@ -247,6 +268,7 @@ class _FrameEngine:
         self._idle = {"a": {}, "b": {}}
         self._fresh = {"a": {}, "b": {}}
         self._results = {}  # interns the tables' result tuples
+        self._packed = None  # the compiled cycles as a kernel.Circuit
 
     @staticmethod
     def _compile(circuit: Circuit, which: str):
@@ -279,6 +301,29 @@ class _FrameEngine:
 
     def new_run(self):
         return [0, 0]  # [x frame, z frame]
+
+    def kernel_circuit(self):
+        """The compiled cycles and classifier masks as a ``kernel.Circuit``
+        for the C kernel, packed on first use.  Op rows are (opcode, masks),
+        a reset carrying its qubit's mask; site rows are (ops executed before
+        the site's event, channel, qubit masks)."""
+        if self._packed is None:
+            from . import kernel
+
+            cycles = []
+            for which in "ab":
+                ops, op_site, _ = self._compiled[which]
+                op_rows = [(op[0], ~op[1]) if op[0] == _OP_RESET else op for op in ops]
+                site_rows = [
+                    (bisect_right(op_site, i), _CHANNEL_CODES[site.channel],
+                     *(1 << q for q in site.qubits))
+                    for i, site in enumerate(self.circuit.error_sites(which))]
+                cycles.append(([row + (0,) * (4 - len(row)) for row in op_rows],
+                               [row + (0,) * (5 - len(row)) for row in site_rows]))
+            self._packed = kernel.pack_circuit(
+                cycles, _site_count(self.circuit), self.gen_masks,
+                self.zl_mask, self.nondata_mask)
+        return self._packed
 
     def memo_sizes(self) -> dict:
         """Single faults stored, the number there can be (the sites'
@@ -488,12 +533,7 @@ class _PCG64Draws:
     def _inversion(self, n: int, p: float) -> int:
         key, consts = self._binom
         if key != (n, p):
-            if p * n > 30.0:
-                raise ValueError(f"binomial({n}, {p}) is in numpy's BTPE range")
-            q = 1.0 - p
-            np_ = n * p
-            consts = (q, math.exp(n * math.log1p(-p)),
-                      int(min(n, np_ + 10.0 * math.sqrt(np_ * q + 1))))
+            consts = _inversion_constants(n, p)
             self._binom = ((n, p), consts)
         q, qn, bound = consts
         x = 0
@@ -509,6 +549,23 @@ class _PCG64Draws:
                 u -= px
                 px = (n - x + 1) * p * px / (x * q)
         return x
+
+
+def _inverts(n: int, p: float) -> bool:
+    """Whether numpy's binomial(n, p) runs inversion, min(p, 1-p)·n <= 30;
+    above that it runs BTPE, which no trial path here reproduces."""
+    return min(p, 1.0 - p) * n <= 30.0
+
+
+def _inversion_constants(n: int, p: float):
+    """(q, qn, bound) of numpy's binomial inversion at (n, p), p <= 0.5: q =
+    1 - p, qn = (1-p)**n as exp(n·log1p(-p)), and the count past which a
+    draw starts over.  Raises ``ValueError`` in the BTPE range."""
+    if not _inverts(n, p):
+        raise ValueError(f"binomial({n}, {p}) is in numpy's BTPE range")
+    q = 1.0 - p
+    np_ = n * p
+    return q, math.exp(n * math.log1p(-p)), int(min(n, np_ + 10.0 * math.sqrt(np_ * q + 1)))
 
 
 def _choose_sites(n: int, k: int, rng) -> list:
@@ -538,6 +595,14 @@ def _draw_cycle_events(sites, indices, rng):
     ]
 
 
+def _site_count(circuit: Circuit) -> int:
+    """N, the number of error sites of each cycle; cycles a and b agree."""
+    n_sites = len(circuit.error_sites("a"))
+    if len(circuit.error_sites("b")) != n_sites:
+        raise AssertionError("cycles a and b disagree on site count")
+    return n_sites
+
+
 def run_trial(cfg: TrialConfig, engine, method: str = "skip") -> TrialResult:
     """One seeded trial of ``engine.circuit`` on ``engine``, an engine from
     ``make_engine``.  ``method="full"`` simulates every cycle with
@@ -547,19 +612,19 @@ def run_trial(cfg: TrialConfig, engine, method: str = "skip") -> TrialResult:
     ``np.random.default_rng(cfg.seed)`` without numpy's per-call overhead,
     whenever min(p, 1-p)·N <= 30: every acceptance grid and benchmark
     workload.  Above that, numpy's binomial switches to BTPE, which the
-    stream does not reproduce, and the trial draws from ``default_rng``."""
+    stream does not reproduce, and the trial draws from ``default_rng``.
+    Estimates run this trial in the C kernel where they can
+    (``_kernel_trials``); this loop is the portable path and its oracle."""
     if method not in ("skip", "full"):
         raise ValueError("method must be 'skip' or 'full'")
     circuit = engine.circuit
     if cfg.p == 0.0:
         # no error can ever occur; the clean state survives to the cap
         return TrialResult(cfg.max_cycles, True)
+    n_sites = _site_count(circuit)
     sites_a = circuit.error_sites("a")
     sites_b = circuit.error_sites("b")
-    n_sites = len(sites_a)
-    if len(sites_b) != n_sites:
-        raise AssertionError("cycles a and b disagree on site count")
-    if min(cfg.p, 1.0 - cfg.p) * n_sites <= 30.0:
+    if _inverts(n_sites, cfg.p):
         rng = _PCG64Draws(cfg.seed)
     else:  # numpy's binomial runs BTPE here, which _PCG64Draws does not
         rng = np.random.default_rng(cfg.seed)
@@ -646,15 +711,64 @@ def aggregate_rate_estimate(
     )
 
 
+def _kernel_trials(eng, p, max_cycles):
+    """``run_trial(TrialConfig(p, seed, max_cycles), eng)`` in the C kernel,
+    as a function of the seed that returns the cycle of the logical flip, or
+    0 for a censored trial; None where the trials must run in Python.
+
+    The kernel runs a trial when ``eng`` is a ``_FrameEngine`` (not the
+    tableau, nor a proxy around an engine), p > 0 and numpy's binomial runs
+    inversion, not BTPE (``_inverts``), and the library could be built.  A
+    frame wider than 64 qubits, a cap past int64 and a clean run that
+    overflows a double are left to ``run_trial`` as well.  The config and
+    the per-(p, N) constants are checked here, once, by ``TrialConfig`` and
+    the Python samplers' helpers, so a bad input raises the same error."""
+    TrialConfig(p, 0, max_cycles)
+    if (type(eng) is not _FrameEngine or p == 0.0 or max_cycles >= 1 << 63
+            or eng.circuit.n_qubits > 64):
+        return None
+    n_sites = _site_count(eng.circuit)
+    log_clean = clean_cycle_log_probability(p, n_sites)
+    if math.isinf(math.log1p(-(1.0 - 2**-53)) / log_clean):
+        return None  # int() of an infinite run length raises in Python
+    bin_p = min(p, 1.0 - p)
+    try:
+        inversion = _inversion_constants(n_sites, bin_p)
+    except ValueError:  # the BTPE range
+        return None
+    from . import kernel
+
+    lib = kernel.library()
+    if lib is None:
+        return None
+    rate = kernel.pack_rate(log_clean, error_count_cdf(p, n_sites), bin_p,
+                            *inversion, p > 0.5)
+    call = lib.mfqec_skip_trial
+    args = (eng.kernel_circuit(), rate, max_cycles)
+    words = kernel.state_words
+    pcg64 = np.random.PCG64
+
+    def trial(seed):
+        return call(*args, *words(pcg64(seed).state))
+
+    return trial
+
+
 def _iter_trials(circuit: Circuit, p, max_cycles, engine, master_seed,
                  point_index, indices):
     """Run the trials at ``indices`` on one engine, in order, yielding
-    (trial index, cycles_to_failure, censored) for each."""
+    (trial index, cycles_to_failure, censored) for each: in the C kernel
+    where ``_kernel_trials`` allows it, else through ``run_trial``."""
     eng = make_engine(circuit, engine)
+    kernel_trial = _kernel_trials(eng, p, max_cycles)
     for t in indices:
-        cfg = TrialConfig(p, trial_seed(master_seed, point_index, t), max_cycles)
-        res = run_trial(cfg, eng)
-        yield t, res.cycles_to_failure, res.censored
+        seed = trial_seed(master_seed, point_index, t)
+        if kernel_trial is None:
+            res = run_trial(TrialConfig(p, seed, max_cycles), eng)
+            yield t, res.cycles_to_failure, res.censored
+        else:
+            cycles = kernel_trial(seed)
+            yield t, cycles or max_cycles, not cycles
 
 
 def _run_trial_block(args):

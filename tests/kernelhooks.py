@@ -1,0 +1,42 @@
+"""Test access to the C trial kernel: the library, and its draw hook."""
+from __future__ import annotations
+
+import ctypes
+import shutil
+
+import pytest
+
+from mfqec import kernel, montecarlo
+
+
+def kernel_or_none():
+    """This process's kernel library, or None where there is no C compiler
+    to build it with; a failed build with a compiler fails the test."""
+    lib = kernel.library()
+    if lib is None and shutil.which("gcc") is not None:
+        raise AssertionError("the C kernel failed to build or load")
+    return lib
+
+
+def kernel_library():
+    """This process's kernel library; skips the test only where there is no
+    C compiler to build it with."""
+    lib = kernel_or_none()
+    if lib is None:
+        pytest.skip("no C compiler on PATH")
+    return lib
+
+
+def kernel_draws(lib, state, program, n=1, p=0.5) -> list:
+    """The draws of ``program`` (``mfqec_draws``: -2 random(), -1
+    binomial(n, p), v >= 1 integers(v)) made by the kernel from the PCG64
+    ``state`` dict, which must have no buffered half-word."""
+    assert not state["has_uint32"]
+    bin_p = min(p, 1.0 - p)
+    rate = kernel.pack_rate(0.0, [1.0], bin_p,
+                            *montecarlo._inversion_constants(n, bin_p), p > 0.5)
+    codes = (ctypes.c_int64 * len(program))(*program)
+    out = (ctypes.c_double * len(program))()
+    lib.mfqec_draws(*kernel.state_words(state), ctypes.byref(rate), n, codes,
+                    len(program), out)
+    return [v if code == -2 else int(v) for code, v in zip(program, out)]

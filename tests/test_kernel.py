@@ -1,0 +1,241 @@
+"""The C trial kernel against the Python trial loop, and its build.
+
+``run_trial`` is the oracle: a kernel trial must end on the cycle the
+Python loop ends on, on the frame engine and on the tableau, because both
+consume one PCG64 stream draw for draw.
+"""
+import json
+import os
+import subprocess
+import sys
+
+import pytest
+
+from mfqec import kernel, montecarlo
+from mfqec.circuits import Variant
+from mfqec.codes import BIT_FLIP_CODE
+from mfqec.montecarlo import (
+    TrialConfig,
+    TrialResult,
+    _kernel_trials,
+    circuit_for,
+    estimate_logical_error_rate,
+    make_engine,
+    run_trial,
+    trial_seed,
+)
+from kernelhooks import kernel_library
+
+SRC = os.path.dirname(os.path.dirname(montecarlo.__file__))
+
+
+def _kernel_result(trial, seed, max_cycles) -> TrialResult:
+    cycles = trial(seed)
+    return TrialResult(cycles or max_cycles, not cycles)
+
+
+# (code, variant, p): the TRIAL_BUDGETS of test_montecarlo, the unencoded
+# qubit, residual-heavy rates (many residual cycles, so many binomial draws
+# by inversion) and p > 0.5, where the residual count is reflected.
+KERNEL_CASES = [
+    ("bf", Variant.SIMPLIFIED, 0.05),
+    ("bf", Variant.PERFECT, 0.02),
+    ("surface17", Variant.SIMPLIFIED, 0.003),
+    ("surface17", Variant.PERFECT, 0.002),
+    ("unencoded", Variant.NONE, 0.01),
+    ("bf", Variant.SIMPLIFIED, 0.3),
+    ("bf", Variant.PERFECT, 0.15),
+    ("surface17", Variant.SIMPLIFIED, 0.03),
+    ("bf", Variant.SIMPLIFIED, 0.6),
+    ("unencoded", Variant.NONE, 0.9),
+]
+
+
+@pytest.mark.parametrize("name,variant,p", KERNEL_CASES)
+def test_kernel_matches_run_trial_on_both_engines(name, variant, p):
+    kernel_library()
+    circ = circuit_for(name, variant)
+    frame, tableau = make_engine(circ, "frame"), make_engine(circ, "tableau")
+    trial = _kernel_trials(frame, p, 20_000)
+    assert trial is not None
+    for i in range(60):
+        seed = trial_seed(7, 0, i)
+        cfg = TrialConfig(p, seed, 20_000)
+        expected = run_trial(cfg, frame)
+        assert _kernel_result(trial, seed, 20_000) == expected, seed
+        if i < 8:
+            assert run_trial(cfg, tableau) == expected, seed
+
+
+@pytest.mark.parametrize("p", [0.04, 0.05])
+def test_kernel_on_both_sides_of_the_btpe_boundary(p):
+    """surface17-perfect has 675 sites: at p = 0.04 (p·N = 27) the kernel
+    runs the trials; at p = 0.05 (p·N = 33.75) numpy's binomial runs BTPE,
+    and the trials fall back to ``run_trial``.  An estimate's trials are
+    ``run_trial``'s either way."""
+    kernel_library()
+    circ = circuit_for("surface17", Variant.PERFECT)
+    frame, tableau = make_engine(circ, "frame"), make_engine(circ, "tableau")
+    trial = _kernel_trials(frame, p, 120)
+    assert (trial is not None) == (p * len(circ.error_sites("a")) <= 30)
+    cfgs = [TrialConfig(p, seed, 120) for seed in range(6)]
+    expected = [run_trial(cfg, frame) for cfg in cfgs]
+    assert not all(res.censored for res in expected)
+    if trial is not None:
+        assert [_kernel_result(trial, cfg.seed, 120) for cfg in cfgs] == expected
+        assert [run_trial(cfg, tableau) for cfg in cfgs[:2]] == expected[:2]
+    estimated = list(montecarlo._iter_trials(circ, p, 120, "frame", 3, 0, range(4)))
+    assert estimated == [
+        (i, res.cycles_to_failure, res.censored)
+        for i, res in enumerate(run_trial(TrialConfig(p, trial_seed(3, 0, i), 120), frame)
+                                for i in range(4))]
+
+
+class _Recorder:
+    """An engine proxy that logs each cycle, while ``sample_clean_run_length``
+    logs each clean run: together they say where a censored trial stopped."""
+
+    def __init__(self, inner, log):
+        self.circuit = inner.circuit
+        self.new_run = inner.new_run
+        self._inner = inner
+        self._log = log
+
+    def run_cycle(self, *args):
+        self._log.append("cycle")
+        return self._inner.run_cycle(*args)
+
+
+@pytest.mark.parametrize("name,variant,p", [("bf", Variant.SIMPLIFIED, 0.08),
+                                             ("unencoded", Variant.NONE, 0.3)])
+def test_kernel_matches_run_trial_at_a_small_cycle_cap(name, variant, p, monkeypatch):
+    """A cap of a few cycles censors trials both inside a clean run (the
+    run's end reaches the cap) and at a cycle (the cap is reached by the
+    cycle just run); the kernel agrees with the Python loop on every trial.
+    On the unencoded qubit one error can flip the state, so a clean run
+    that ends exactly at the cap must censor rather than run one more
+    cycle."""
+    kernel_library()
+    circ = circuit_for(name, variant)
+    frame = make_engine(circ, "frame")
+    log = []
+    draw = montecarlo.sample_clean_run_length
+
+    def logged(*args):
+        log.append("run")
+        return draw(*args)
+
+    monkeypatch.setattr(montecarlo, "sample_clean_run_length", logged)
+    recorder = _Recorder(frame, log)
+    stops = {"run": 0, "cycle": 0}
+    for max_cycles in (1, 2, 3, 5):
+        trial = _kernel_trials(frame, p, max_cycles)
+        for i in range(40):
+            seed = trial_seed(11, max_cycles, i)
+            log.clear()
+            expected = run_trial(TrialConfig(p, seed, max_cycles), recorder)
+            assert _kernel_result(trial, seed, max_cycles) == expected, (max_cycles, seed)
+            if expected.censored:
+                stops[log[-1]] += 1
+    assert stops["run"] and stops["cycle"], stops
+
+
+def test_estimate_in_the_kernel_matches_the_python_loop(monkeypatch):
+    """An estimate gives the same ``RateEstimate`` with the kernel, on one
+    or two workers, as with every trial run by ``run_trial``."""
+    kernel_library()
+    args = (BIT_FLIP_CODE, Variant.PERFECT, 0.03, 80, 42)
+    kwargs = dict(point_index=2, max_cycles=100_000, engine="frame")
+    in_kernel = [estimate_logical_error_rate(*args, workers=w, **kwargs) for w in (1, 2)]
+    monkeypatch.setattr(montecarlo, "_kernel_trials", lambda *a: None)
+    in_python = [estimate_logical_error_rate(*args, workers=w, **kwargs) for w in (1, 2)]
+    assert in_kernel == in_python
+    assert in_kernel[0] == in_kernel[1]
+
+
+def test_kernel_runs_only_plain_frame_trials():
+    """The tableau, a proxy around the frame engine, p = 0 and min(p, 1-p)·N
+    over 30 keep the Python loop; a config ``TrialConfig`` rejects raises
+    its error."""
+    circ = circuit_for("bf", Variant.SIMPLIFIED)
+    frame = make_engine(circ, "frame")
+    with pytest.raises(ValueError, match="p must be"):
+        _kernel_trials(frame, 1.0, 100)
+    with pytest.raises(ValueError, match="max_cycles"):
+        _kernel_trials(frame, 0.05, 0)
+    assert _kernel_trials(make_engine(circ, "tableau"), 0.05, 100) is None
+    assert _kernel_trials(_Recorder(frame, []), 0.05, 100) is None
+    assert _kernel_trials(frame, 0.0, 100) is None
+    big = circuit_for("surface17", Variant.PERFECT)
+    assert _kernel_trials(make_engine(big, "frame"), 0.95, 100) is None
+
+
+_BUILD = """
+import sys
+from mfqec import kernel
+print(kernel.load(sys.argv[1])._name)
+"""
+
+
+def test_two_processes_build_into_one_directory_at_once(tmp_path):
+    """Two processes that find no library build it at the same time: both
+    load the one file, and no temporary file is left behind."""
+    kernel_library()
+    env = dict(os.environ, PYTHONPATH=SRC)
+    procs = [subprocess.Popen([sys.executable, "-c", _BUILD, str(tmp_path)], env=env,
+                              stdout=subprocess.PIPE, text=True) for _ in range(2)]
+    names = [proc.communicate(timeout=300)[0].strip() for proc in procs]
+    assert [proc.returncode for proc in procs] == [0, 0]
+    path = kernel.library_path(tmp_path)
+    assert names == [str(path)] * 2
+    assert os.listdir(tmp_path) == [path.name]
+
+
+_NO_COMPILER = """
+import json, sys, warnings
+from mfqec import kernel
+from mfqec.circuits import Variant
+from mfqec.codes import BIT_FLIP_CODE
+from mfqec.montecarlo import estimate_logical_error_rate
+kernel.BUILD_DIR = kernel.Path(sys.argv[1])
+with warnings.catch_warnings(record=True) as caught:
+    warnings.simplefilter("always")
+    est = estimate_logical_error_rate(BIT_FLIP_CODE, Variant.SIMPLIFIED, 0.05, 50, 9,
+                                      engine="frame")
+print(json.dumps({"estimate": repr(est), "kernel": kernel.library() is not None,
+                  "warnings": [w.category.__name__ for w in caught]}))
+"""
+
+
+def test_estimate_without_a_compiler_runs_in_python(tmp_path):
+    """With no ``gcc`` on PATH and no library built, an estimate warns once
+    and gives the very ``RateEstimate`` the kernel gives."""
+    kernel_library()
+    env = dict(os.environ, PYTHONPATH=SRC, PATH=str(tmp_path))
+    out = subprocess.run([sys.executable, "-c", _NO_COMPILER, str(tmp_path / "build")],
+                         env=env, capture_output=True, text=True, check=True, timeout=300)
+    got = json.loads(out.stdout)
+    expected = estimate_logical_error_rate(BIT_FLIP_CODE, Variant.SIMPLIFIED, 0.05, 50, 9,
+                                           engine="frame")
+    assert got == {"estimate": repr(expected), "kernel": False,
+                   "warnings": ["RuntimeWarning"]}
+    assert not (tmp_path / "build").exists() or not os.listdir(tmp_path / "build")
+
+
+_SETUP = """
+import sys
+import mfqec.cli
+from mfqec.circuits import Variant, build_circuit
+from mfqec.montecarlo import make_engine
+make_engine(build_circuit("surface17", Variant.PERFECT), "frame")
+print(sorted(m for m in sys.modules if m.startswith("mfqec")))
+"""
+
+
+def test_setup_does_not_load_the_kernel():
+    """Import, ``build_circuit`` and ``make_engine`` neither build nor load
+    the kernel: its module is imported on the first kernel trial."""
+    env = dict(os.environ, PYTHONPATH=SRC)
+    out = subprocess.run([sys.executable, "-c", _SETUP], env=env, capture_output=True,
+                         text=True, check=True, timeout=120).stdout
+    assert "mfqec.kernel" not in out and "mfqec.montecarlo" in out

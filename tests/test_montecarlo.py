@@ -41,6 +41,7 @@ from mfqec.montecarlo import (
 )
 from mfqec.pauli import PauliOperator
 from mfqec.tableau import Sign
+from kernelhooks import kernel_draws, kernel_or_none
 
 
 def _pauli(n, xs=(), zs=()):
@@ -417,16 +418,18 @@ MEMO_WARMUPS = [
 
 @pytest.mark.parametrize("name,variant,ps", MEMO_WARMUPS)
 def test_frame_memo_is_the_orbit_closure_of_single_faults(name, variant, ps):
-    """After estimates at several p on the shared engine, the memo is an
-    oracle and is bounded: each single-fault and each orbit entry is what a
-    fresh engine computes, at most ``n_paulis`` faults per site are stored,
-    and the idle tables hold exactly the noiseless orbits of the stored
-    faults' results, up to clean, a logical flip or a pair seen before."""
+    """After the trials of estimates at several p on the shared engine, the
+    memo is an oracle and is bounded: each single-fault and each orbit entry
+    is what a fresh engine computes, at most ``n_paulis`` faults per site are
+    stored, and the idle tables hold exactly the noiseless orbits of the
+    stored faults' results, up to clean, a logical flip or a pair seen
+    before.  The trials run through ``run_trial``, since an estimate runs
+    them in the C kernel, which does not use the memo."""
     circ = circuit_for(name, variant)
-    for i, p in enumerate(ps):
-        estimate_logical_error_rate(circ.code, variant, p, 20, 5, point_index=i,
-                                    engine="frame")
     memo = make_engine(circ, "frame")
+    for i, p in enumerate(ps):
+        for t in range(20):
+            run_trial(TrialConfig(p, trial_seed(5, i, t)), memo)
     fresh = _FrameEngine(circ)
     n = circ.n_qubits
     closure = {"a": set(), "b": set()}
@@ -630,7 +633,9 @@ def test_pcg64_draws_match_generator_on_edge_words():
     just above the rejection threshold, and binomials whose uniform is 1/4
     or 1/2 (exactly the probability of no success at (2, 0.5) and (1, 0.5))
     or within 3 ulps of 1, past the tail of inversion bounds, where numpy
-    redraws.  The value and the next draws must agree."""
+    redraws.  The value and the next draws must agree, from ``_PCG64Draws``
+    and, where there is a C compiler, from the C kernel's draw code."""
+    lib = kernel_or_none()
     cases = []
     for n in (3, 15, 25, 63, 77, 223, 675):
         threshold = (1 << 32) % n
@@ -644,12 +649,19 @@ def test_pcg64_draws_match_generator_on_edge_words():
         state = _pcg64_state_emitting(word)
         ref = np.random.default_rng()
         ref.bit_generator.state = state
+        expected = [getattr(ref, method)(*args), ref.integers(3), ref.random(),
+                    ref.integers(1 << 30)]
         new = montecarlo._PCG64Draws(0)
         new._bitgen.state = state
-        assert getattr(new, method)(*args) == getattr(ref, method)(*args), (word, args)
-        assert new.integers(3) == ref.integers(3)
-        assert new.random() == ref.random()
-        assert new.integers(1 << 30) == ref.integers(1 << 30)
+        assert [getattr(new, method)(*args), new.integers(3), new.random(),
+                new.integers(1 << 30)] == expected, (word, args)
+        if lib is None:
+            continue
+        if method == "binomial":
+            drawn = kernel_draws(lib, state, [-1, 3, -2, 1 << 30], *args)
+        else:
+            drawn = kernel_draws(lib, state, [args[0], 3, -2, 1 << 30])
+        assert drawn == expected, (word, args)
 
 
 def test_pcg64_draws_refuse_what_they_do_not_reproduce():

@@ -5,6 +5,7 @@ import importlib.util
 import json
 import os
 import re
+import shutil
 import subprocess
 import sys
 
@@ -83,18 +84,32 @@ def test_audit_single_faults_counts(capsys):
     ]
 
 
+def _git_copy_of_the_tree(into):
+    """This source tree committed as the one commit of a new git repository
+    at ``into``, so that scripts that read git history run the same in a
+    checkout and in an exported tree with no ``.git``."""
+    shutil.copytree(os.path.join(SCRIPTS, os.pardir), into, ignore=shutil.ignore_patterns(
+        ".git", "__pycache__", ".pytest_cache", "out"))
+    git = ["git", "-c", "user.name=test", "-c", "user.email=test@example.invalid",
+           "-c", "commit.gpgsign=false"]
+    for args in (["init", "-q"], ["add", "-A"], ["commit", "-q", "-m", "tree"]):
+        subprocess.run(git + args, cwd=into, check=True, capture_output=True)
+
+
 def test_bench_pair_writes_the_pair_record(tmp_path):
     """Two short pairs of one workload against HEAD: the record names both
     revisions, its seeds and CPU count, and per side the quartiles and wins
     of every end-to-end metric and each run's checks.  The pairs share the
     first seed and alternate which side runs first."""
-    argv = [sys.executable, os.path.join(SCRIPTS, "bench_pair.py"), "--base", "HEAD",
+    repo = tmp_path / "repo"
+    _git_copy_of_the_tree(repo)
+    argv = [sys.executable, str(repo / "scripts" / "bench_pair.py"), "--base", "HEAD",
             "--label", "t", "--workload", "s17-simplified-stuck", "--pairs", "2",
             "--seed", "42", "--seed", "7", "--trials", "2", "--seconds", "0.5",
             "--out-dir", str(tmp_path)]
     subprocess.run(argv, capture_output=True, text=True, check=True, timeout=600)
     record = json.loads((tmp_path / "BENCH_t.json").read_text())
-    head = subprocess.run(["git", "rev-parse", "HEAD"], cwd=SCRIPTS, capture_output=True,
+    head = subprocess.run(["git", "rev-parse", "HEAD"], cwd=repo, capture_output=True,
                           text=True, check=True).stdout.strip()
     assert record["base"]["rev"] == record["change"]["rev"] == head
     assert record["seeds"] == [42, 7] and record["pairs"] == 2 and record["cpu_count"] >= 1
