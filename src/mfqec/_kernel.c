@@ -1,10 +1,12 @@
-/* One skip-sampled time-to-failure trial on a compiled Pauli frame.
+/* Skip-sampled time-to-failure trials on a compiled Pauli frame.
  *
  * This is run_trial(cfg, frame_engine) of montecarlo.py in C: the same
  * draws, in the same order, from the same PCG64 stream that
- * np.random.default_rng(seed) gives, so a trial ends on the same cycle.
- * Python seeds the generator and computes every constant that needs exp or
- * lgamma (montecarlo._kernel_trials); this file only calls log1p.
+ * np.random.default_rng(trial_seed(master, point, trial)) gives, so a
+ * trial ends on the same cycle.  Each trial is seeded here, by numpy's own
+ * SeedSequence hash and PCG64 seeding reproduced word for word, and a call
+ * runs a whole block of trials.  Python computes every constant that needs
+ * exp or lgamma (montecarlo._kernel_trials); this file only calls log1p.
  *
  * Built by mfqec/kernel.py with -O2 -ffp-contract=off and no fast-math, so
  * that every double is rounded as Python rounds it.
@@ -35,12 +37,113 @@ static void pcg64_init(pcg64_t *rng, uint64_t state_hi, uint64_t state_lo,
     rng->has_half = 0;
 }
 
-static inline uint64_t next_uint64(pcg64_t *rng)
+static inline void pcg64_step(pcg64_t *rng)
 {
     rng->state = rng->state * PCG64_MULTIPLIER + rng->inc;
+}
+
+static inline uint64_t next_uint64(pcg64_t *rng)
+{
+    pcg64_step(rng);
     uint64_t x = (uint64_t)(rng->state >> 64) ^ (uint64_t)rng->state;
     unsigned rot = (unsigned)(rng->state >> 122);
     return (x >> rot) | (x << ((64 - rot) & 63));
+}
+
+/* numpy's SeedSequence on uint32 words: hashmix/mix into a pool of four
+ * words, then generate_state. */
+#define SS_POOL 4
+#define SS_INIT_A 0x43b0d7e5U
+#define SS_MULT_A 0x931e8875U
+#define SS_INIT_B 0x8b51f9ddU
+#define SS_MULT_B 0x58f38dedU
+#define SS_MIX_L 0xca01f9ddU
+#define SS_MIX_R 0x4973f715U
+
+static inline uint32_t hashmix(uint32_t value, uint32_t *hash_const)
+{
+    value ^= *hash_const;
+    *hash_const *= SS_MULT_A;
+    value *= *hash_const;
+    return value ^ value >> 16;
+}
+
+static inline uint32_t mix(uint32_t x, uint32_t y)
+{
+    uint32_t result = SS_MIX_L * x - SS_MIX_R * y;
+    return result ^ result >> 16;
+}
+
+/* SeedSequence(entropy).pool: the first four words (zeros past the end)
+ * hashed in, every word mixed into every other, then any further words
+ * mixed into each. */
+static void mix_entropy(const uint32_t *entropy, int64_t n, uint32_t pool[SS_POOL])
+{
+    uint32_t hash_const = SS_INIT_A;
+    for (int i = 0; i < SS_POOL; i++)
+        pool[i] = hashmix(i < n ? entropy[i] : 0, &hash_const);
+    for (int src = 0; src < SS_POOL; src++)
+        for (int dst = 0; dst < SS_POOL; dst++)
+            if (src != dst)
+                pool[dst] = mix(pool[dst], hashmix(pool[src], &hash_const));
+    for (int64_t src = SS_POOL; src < n; src++)
+        for (int dst = 0; dst < SS_POOL; dst++)
+            pool[dst] = mix(pool[dst], hashmix(entropy[src], &hash_const));
+}
+
+/* SeedSequence.generate_state(n_words, uint32) from its pool. */
+static void generate_state(const uint32_t pool[SS_POOL], int64_t n_words, uint32_t *out)
+{
+    uint32_t hash_const = SS_INIT_B;
+    for (int64_t i = 0; i < n_words; i++) {
+        uint32_t value = pool[i % SS_POOL] ^ hash_const;
+        hash_const *= SS_MULT_B;
+        value *= hash_const;
+        out[i] = value ^ value >> 16;
+    }
+}
+
+/* The uint32 words SeedSequence makes of a non-negative integer: low word
+ * first, one word for a value below 2**32 (zero included).  Returns the
+ * count. */
+static inline int64_t int_words(uint64_t value, uint32_t *out)
+{
+    out[0] = (uint32_t)value;
+    out[1] = (uint32_t)(value >> 32);
+    return out[1] ? 2 : 1;
+}
+
+/* generate_state's uint64 value from the word pair (low, high) at w. */
+static inline uint64_t word_pair(const uint32_t *w)
+{
+    return (uint64_t)w[1] << 32 | w[0];
+}
+
+/* PCG64(seed) for an integer seed: SeedSequence(seed).generate_state(4,
+ * uint64) gives (state high, state low, inc high, inc low), and numpy's
+ * pcg64_set_seed starts from state 0 and inc = initseq << 1 | 1, steps,
+ * adds initstate to the state, and steps again. */
+static void pcg64_seed(pcg64_t *rng, uint64_t seed)
+{
+    uint32_t entropy[2], pool[SS_POOL], w[8];
+    mix_entropy(entropy, int_words(seed, entropy), pool);
+    generate_state(pool, 8, w);
+    pcg64_init(rng, 0, 0, word_pair(w + 4), word_pair(w + 6));
+    rng->inc = rng->inc << 1 | 1;
+    pcg64_step(rng);
+    rng->state += (u128)word_pair(w) << 64 | word_pair(w + 2);
+    pcg64_step(rng);
+}
+
+/* The generator of trial `index`, PCG64(trial_seed(master, point, index)):
+ * `entropy` holds the words of master and point (n_prefix of them) and
+ * room for two more, the words of the index. */
+static void trial_rng(pcg64_t *rng, uint32_t *entropy, int64_t n_prefix, uint64_t index)
+{
+    uint32_t pool[SS_POOL], w[2];
+    mix_entropy(entropy, n_prefix + int_words(index, entropy + n_prefix), pool);
+    generate_state(pool, 2, w);
+    pcg64_seed(rng, word_pair(w));
 }
 
 /* Generator.random(): the top 53 bits of a word; the buffered half stays. */
@@ -256,14 +359,11 @@ static int run_cycle(const circuit_t *c, const cycle_t *cy, pcg64_t *rng,
     return cls;
 }
 
-/* One trial from the PCG64 state (state, inc) as 64-bit halves, with no
- * buffered half-word.  Returns the cycle of the logical flip (>= 1), or 0
+/* One trial from `rng`.  Returns the cycle of the logical flip (>= 1), or 0
  * when the trial reaches max_cycles first (censored). */
-int64_t mfqec_skip_trial(const circuit_t *c, const rate_t *r, int64_t max_cycles,
-                         uint64_t state_hi, uint64_t state_lo,
-                         uint64_t inc_hi, uint64_t inc_lo)
+static int64_t skip_trial(const circuit_t *c, const rate_t *r, int64_t max_cycles,
+                          pcg64_t *rng)
 {
-    pcg64_t rng;
     const int64_t n = c->n_sites;
     int64_t chosen[n];      /* 9·N bytes of stack: 6 kB at surface17's N = 675 */
     unsigned char mark[n];
@@ -272,17 +372,16 @@ int64_t mfqec_skip_trial(const circuit_t *c, const rate_t *r, int64_t max_cycles
     int clean = 1;
 
     memset(mark, 0, (size_t)n);
-    pcg64_init(&rng, state_hi, state_lo, inc_hi, inc_lo);
     while (t < max_cycles) {
         int64_t k;
         if (clean) {
             /* errors.sample_clean_run_length, then t += length */
-            double run = floor(log1p(-next_double(&rng)) / r->log_clean);
+            double run = floor(log1p(-next_double(rng)) / r->log_clean);
             if (run >= 9223372036854775808.0 || (int64_t)run >= max_cycles - t)
                 break;
             t += (int64_t)run;
             /* errors.sample_error_count_given_any: bisect_right + 1 */
-            double u = next_double(&rng);
+            double u = next_double(rng);
             int64_t lo = 0, hi = n;
             while (lo < hi) {
                 int64_t mid = (lo + hi) / 2;
@@ -293,17 +392,35 @@ int64_t mfqec_skip_trial(const circuit_t *c, const rate_t *r, int64_t max_cycles
             }
             k = lo + 1;
         } else {
-            k = binomial(&rng, n, r);
+            k = binomial(rng, n, r);
         }
         if (k)
-            choose_sites(&rng, n, k, chosen, mark);
-        int cls = run_cycle(c, &c->cycle[t & 1], &rng, chosen, k, &fx, &fz);
+            choose_sites(rng, n, k, chosen, mark);
+        int cls = run_cycle(c, &c->cycle[t & 1], rng, chosen, k, &fx, &fz);
         t++;
         if (cls == LOGICAL_FLIP)
             return t;
         clean = cls == CLEAN_ZERO;
     }
     return 0;
+}
+
+/* Trials indices[0..n) of a point, each seeded as
+ * PCG64(trial_seed(master, point, index)) from `prefix`, the n_prefix
+ * SeedSequence words of master and point; out[i] is trial i's cycle of
+ * failure, or 0 when censored. */
+void mfqec_skip_block(const circuit_t *c, const rate_t *r, int64_t max_cycles,
+                      const uint32_t *prefix, int64_t n_prefix,
+                      const uint64_t *indices, int64_t n, int64_t *out)
+{
+    uint32_t entropy[n_prefix + 2];
+    pcg64_t rng;
+
+    memcpy(entropy, prefix, sizeof(uint32_t) * (size_t)n_prefix);
+    for (int64_t i = 0; i < n; i++) {
+        trial_rng(&rng, entropy, n_prefix, indices[i]);
+        out[i] = skip_trial(c, r, max_cycles, &rng);
+    }
 }
 
 /* Test hook: from a PCG64 state, make the draws of `program`, writing each
@@ -322,5 +439,45 @@ void mfqec_draws(uint64_t state_hi, uint64_t state_lo, uint64_t inc_hi,
             out[i] = (double)binomial(&rng, n, r);
         else
             out[i] = (double)bounded(&rng, (uint64_t)program[i]);
+    }
+}
+
+/* Test hook: SeedSequence(entropy).generate_state(n_words, uint32). */
+void mfqec_seed_state(const uint32_t *entropy, int64_t n, int64_t n_words, uint32_t *out)
+{
+    uint32_t pool[SS_POOL];
+    mix_entropy(entropy, n, pool);
+    generate_state(pool, n_words, out);
+}
+
+static void state_words(const pcg64_t *rng, uint64_t *out)
+{
+    out[0] = (uint64_t)(rng->state >> 64);
+    out[1] = (uint64_t)rng->state;
+    out[2] = (uint64_t)(rng->inc >> 64);
+    out[3] = (uint64_t)rng->inc;
+}
+
+/* Test hook: the state of PCG64(seed) as (state high, state low, inc high,
+ * inc low). */
+void mfqec_pcg64_state(uint64_t seed, uint64_t *out)
+{
+    pcg64_t rng;
+    pcg64_seed(&rng, seed);
+    state_words(&rng, out);
+}
+
+/* Test hook: the generator states mfqec_skip_block starts its trials from,
+ * four words per trial as mfqec_pcg64_state gives them. */
+void mfqec_trial_states(const uint32_t *prefix, int64_t n_prefix,
+                        const uint64_t *indices, int64_t n, uint64_t *out)
+{
+    uint32_t entropy[n_prefix + 2];
+    pcg64_t rng;
+
+    memcpy(entropy, prefix, sizeof(uint32_t) * (size_t)n_prefix);
+    for (int64_t i = 0; i < n; i++) {
+        trial_rng(&rng, entropy, n_prefix, indices[i]);
+        state_words(&rng, out + 4 * i);
     }
 }

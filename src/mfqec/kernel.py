@@ -1,7 +1,10 @@
 """Build and load the C trial kernel, ``_kernel.c``.
 
-The kernel runs one whole skip-sampled trial on a frame engine's compiled
-cycles (``montecarlo._kernel_trials`` decides when).  It is built on first
+The kernel seeds and runs whole blocks of skip-sampled trials on a frame
+engine's compiled cycles (``montecarlo._kernel_trials`` decides when).
+Each trial's generator is ``PCG64(trial_seed(master, point, trial))``,
+made in C by numpy's own ``SeedSequence`` hash and PCG64 seeding, from the
+``seed_words`` of master and point.  It is built on first
 use with ``gcc -O2 -shared -fPIC -ffp-contract=off``: no fast-math, no
 ``-march=native`` and no contraction into FMA, so that every double is
 rounded as Python rounds it and the trial consumes the RNG stream exactly
@@ -17,16 +20,18 @@ from __future__ import annotations
 
 import ctypes
 import hashlib
+import operator
 import os
 import subprocess
 import warnings
+from functools import lru_cache
 from pathlib import Path
 
 SOURCE = Path(__file__).with_name("_kernel.c")
 BUILD_DIR = Path(__file__).with_name("__pycache__")
 CFLAGS = ("-O2", "-shared", "-fPIC", "-ffp-contract=off")
 
-_u64, _i64, _f64 = ctypes.c_uint64, ctypes.c_int64, ctypes.c_double
+_u32, _u64, _i64, _f64 = ctypes.c_uint32, ctypes.c_uint64, ctypes.c_int64, ctypes.c_double
 _MASK64 = (1 << 64) - 1
 
 
@@ -83,10 +88,47 @@ def pack_rate(log_clean: float, count_cdf, p: float, q: float, qn: float,
 
 
 def state_words(state: dict) -> tuple:
-    """The four 64-bit words (state high, state low, inc high, inc low) the
-    kernel starts from, out of a ``PCG64().state`` dict."""
+    """The four 64-bit words (state high, state low, inc high, inc low) of
+    a ``PCG64().state`` dict, as the kernel's test hooks take and return a
+    generator state."""
     s, inc = state["state"]["state"], state["state"]["inc"]
     return s >> 64, s & _MASK64, inc >> 64, inc & _MASK64
+
+
+def seed_words(*values) -> list:
+    """The uint32 words ``SeedSequence`` hashes for the entropy list
+    ``values``: each value's words, low word first, one word for a value
+    below 2**32 (zero included).  A negative value raises numpy's
+    ``ValueError``."""
+    words = []
+    for value in map(operator.index, values):
+        if value < 0:
+            raise ValueError("expected non-negative integer")
+        words.append(value & 0xFFFFFFFF)
+        while value >> 32:
+            value >>= 32
+            words.append(value & 0xFFFFFFFF)
+    return words
+
+
+@lru_cache(maxsize=64)
+def seed_prefix(master_seed, point_index) -> tuple:
+    """``seed_words(master_seed, point_index)`` as ``mfqec_skip_block`` takes
+    them: a uint32 array and its length."""
+    words = seed_words(master_seed, point_index)
+    return _array(_u32, words), len(words)
+
+
+def skip_block(lib, circuit: Circuit, rate: Rate, max_cycles: int, prefix,
+               indices) -> list:
+    """Each trial's cycle of failure, 0 when censored, for the trial
+    ``indices`` of the point whose ``seed_prefix`` is ``prefix``.  The
+    indices must be below 2**64, as an estimate's are: ``ctypes`` would
+    wrap a larger one."""
+    n = len(indices)
+    out = (_i64 * n)()
+    lib.mfqec_skip_block(circuit, rate, max_cycles, *prefix, _array(_u64, indices), n, out)
+    return out[:]
 
 
 def library_path(directory) -> Path:
@@ -112,14 +154,21 @@ def build(directory) -> Path:
 
 def load(directory):
     """``ctypes`` handle of the library in ``directory`` (built if needed),
-    with the prototypes of its two entry points."""
+    with the prototypes of its entry point and its test hooks."""
     lib = ctypes.CDLL(str(build(directory)))
-    lib.mfqec_skip_trial.argtypes = [ctypes.POINTER(Circuit), ctypes.POINTER(Rate), _i64,
-                                     _u64, _u64, _u64, _u64]
-    lib.mfqec_skip_trial.restype = _i64
-    lib.mfqec_draws.argtypes = [_u64, _u64, _u64, _u64, ctypes.POINTER(Rate), _i64,
-                                ctypes.POINTER(_i64), _i64, ctypes.POINTER(_f64)]
-    lib.mfqec_draws.restype = None
+    u32p, u64p = ctypes.POINTER(_u32), ctypes.POINTER(_u64)
+    for name, argtypes in [
+        ("mfqec_skip_block", [ctypes.POINTER(Circuit), ctypes.POINTER(Rate), _i64,
+                              u32p, _i64, u64p, _i64, ctypes.POINTER(_i64)]),
+        ("mfqec_draws", [_u64, _u64, _u64, _u64, ctypes.POINTER(Rate), _i64,
+                         ctypes.POINTER(_i64), _i64, ctypes.POINTER(_f64)]),
+        ("mfqec_seed_state", [u32p, _i64, _i64, u32p]),
+        ("mfqec_pcg64_state", [_u64, u64p]),
+        ("mfqec_trial_states", [u32p, _i64, u64p, _i64, u64p]),
+    ]:
+        func = getattr(lib, name)
+        func.argtypes = argtypes
+        func.restype = None
     return lib
 
 

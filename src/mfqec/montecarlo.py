@@ -40,10 +40,12 @@ the one ``default_rng(seed)`` gives; only where numpy's binomial runs BTPE
 
 Estimates run whole trials in a C kernel (``_kernel.c``, built and loaded
 by ``mfqec.kernel``) when the engine is a plain frame engine, p > 0 and
-min(p, 1-p)·N <= 30 (``_kernel_trials`` has the full list).  The kernel
-steps PCG64 itself from the state of ``PCG64(trial_seed(...))`` and makes
-the same draws in the same order, so its trials end on the cycles
-``run_trial`` gives; the tests compare the two trial for trial.  It is
+min(p, 1-p)·N <= 30 (``_kernel_trials`` has the full list).  One kernel
+call seeds and runs a block of trials: it makes each trial's generator
+``PCG64(trial_seed(...))`` by numpy's own ``SeedSequence`` hash and PCG64
+seeding, reproduced in C word for word, and makes the same draws in the
+same order, so its trials end on the cycles ``run_trial`` gives; the tests
+compare the two trial for trial, and the seeding with numpy's.  It is
 built on first use with ``gcc -O2 -ffp-contract=off`` and no fast-math, so
 that no double is rounded differently from Python, into ``__pycache__``
 beside the source.  Everything else runs ``run_trial``, the portable path
@@ -712,9 +714,11 @@ def aggregate_rate_estimate(
 
 
 def _kernel_trials(eng, p, max_cycles):
-    """``run_trial(TrialConfig(p, seed, max_cycles), eng)`` in the C kernel,
-    as a function of the seed that returns the cycle of the logical flip, or
-    0 for a censored trial; None where the trials must run in Python.
+    """``run_trial(TrialConfig(p, trial_seed(master_seed, point_index, t),
+    max_cycles), eng)`` in the C kernel for a block of trials, as a function
+    ``block(master_seed, point_index, indices)`` that returns each trial's
+    cycle of the logical flip, or 0 for a censored trial; None where the
+    trials must run in Python.
 
     The kernel runs a trial when ``eng`` is a ``_FrameEngine`` (not the
     tableau, nor a proxy around an engine), p > 0 and numpy's binomial runs
@@ -722,7 +726,10 @@ def _kernel_trials(eng, p, max_cycles):
     frame wider than 64 qubits, a cap past int64 and a clean run that
     overflows a double are left to ``run_trial`` as well.  The config and
     the per-(p, N) constants are checked here, once, by ``TrialConfig`` and
-    the Python samplers' helpers, so a bad input raises the same error."""
+    the Python samplers' helpers, so a bad input raises the same error; a
+    negative seed or point raises ``trial_seed``'s.  The kernel seeds each
+    trial itself, from the ``SeedSequence`` words of master seed and point,
+    which are computed once per (master seed, point)."""
     TrialConfig(p, 0, max_cycles)
     if (type(eng) is not _FrameEngine or p == 0.0 or max_cycles >= 1 << 63
             or eng.circuit.n_qubits > 64):
@@ -743,41 +750,42 @@ def _kernel_trials(eng, p, max_cycles):
         return None
     rate = kernel.pack_rate(log_clean, error_count_cdf(p, n_sites), bin_p,
                             *inversion, p > 0.5)
-    call = lib.mfqec_skip_trial
-    args = (eng.kernel_circuit(), rate, max_cycles)
-    words = kernel.state_words
-    pcg64 = np.random.PCG64
+    args = (lib, eng.kernel_circuit(), rate, max_cycles)
 
-    def trial(seed):
-        return call(*args, *words(pcg64(seed).state))
+    def block(master_seed, point_index, indices):
+        return kernel.skip_block(*args, kernel.seed_prefix(master_seed, point_index),
+                                 indices)
 
-    return trial
+    return block
 
 
 def _iter_trials(circuit: Circuit, p, max_cycles, engine, master_seed,
-                 point_index, indices):
+                 point_index, indices, slice_size):
     """Run the trials at ``indices`` on one engine, in order, yielding
-    (trial index, cycles_to_failure, censored) for each: in the C kernel
-    where ``_kernel_trials`` allows it, else through ``run_trial``."""
+    (trial index, cycles_to_failure, censored) for each: in the C kernel,
+    ``slice_size`` trials per call, where ``_kernel_trials`` allows it, else
+    through ``run_trial``."""
     eng = make_engine(circuit, engine)
-    kernel_trial = _kernel_trials(eng, p, max_cycles)
-    for t in indices:
-        seed = trial_seed(master_seed, point_index, t)
-        if kernel_trial is None:
+    block = _kernel_trials(eng, p, max_cycles)
+    if block is None:
+        for t in indices:
+            seed = trial_seed(master_seed, point_index, t)
             res = run_trial(TrialConfig(p, seed, max_cycles), eng)
             yield t, res.cycles_to_failure, res.censored
-        else:
-            cycles = kernel_trial(seed)
+        return
+    for start in range(0, len(indices), slice_size):
+        part = indices[start:start + slice_size]
+        for t, cycles in zip(part, block(master_seed, point_index, part)):
             yield t, cycles or max_cycles, not cycles
 
 
 def _run_trial_block(args):
     """Process-pool entry point; the trial indices are the last argument."""
     (code_name, variant_value, p, max_cycles, engine, master_seed, point_index,
-     indices) = args
+     slice_size, indices) = args
     circuit = circuit_for(code_name, Variant(variant_value))
     return list(_iter_trials(circuit, p, max_cycles, engine, master_seed,
-                             point_index, indices))
+                             point_index, indices, slice_size))
 
 
 def estimate_logical_error_rate(
@@ -813,7 +821,7 @@ def estimate_logical_error_rate(
         from concurrent.futures import ProcessPoolExecutor
 
         base = (code.name, variant.value, p, max_cycles, engine, master_seed,
-                point_index)
+                point_index, tick)
         chunks = [
             list(range(i, n_trials, workers * 4)) for i in range(workers * 4)
         ]
@@ -824,7 +832,7 @@ def estimate_logical_error_rate(
     else:
         circuit = circuit_for(code.name, variant)
         collect(_iter_trials(circuit, p, max_cycles, engine, master_seed,
-                             point_index, range(n_trials)))
+                             point_index, range(n_trials), tick))
     failure_cycles = [c for c, censored in results if not censored]
     n_censored = sum(1 for _, censored in results if censored)
     boot_rng = np.random.default_rng(

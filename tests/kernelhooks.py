@@ -1,4 +1,5 @@
-"""Test access to the C trial kernel: the library, and its draw hook."""
+"""Test access to the C trial kernel: the library, and its draw and seeding
+hooks."""
 from __future__ import annotations
 
 import ctypes
@@ -40,3 +41,31 @@ def kernel_draws(lib, state, program, n=1, p=0.5) -> list:
     lib.mfqec_draws(*kernel.state_words(state), ctypes.byref(rate), n, codes,
                     len(program), out)
     return [v if code == -2 else int(v) for code, v in zip(program, out)]
+
+
+def seed_state(lib, entropy, n_words) -> list:
+    """``SeedSequence(entropy).generate_state(n_words, uint32)`` by the
+    kernel's hash (``mfqec_seed_state``), for a list of uint32 words."""
+    out = (ctypes.c_uint32 * n_words)()
+    lib.mfqec_seed_state((ctypes.c_uint32 * len(entropy))(*entropy), len(entropy),
+                         n_words, out)
+    return out[:]
+
+
+def pcg64_state(lib, seed) -> list:
+    """``kernel.state_words(PCG64(seed).state)`` by the kernel's seeding
+    (``mfqec_pcg64_state``), for an integer seed below 2**64."""
+    out = (ctypes.c_uint64 * 4)()
+    lib.mfqec_pcg64_state(seed, out)
+    return out[:]
+
+
+def trial_states(lib, master_seed, point_index, indices) -> list:
+    """The four state words of each generator ``mfqec_skip_block`` starts
+    the trials ``indices`` of (master_seed, point_index) from
+    (``mfqec_trial_states``)."""
+    n = len(indices)
+    out = (ctypes.c_uint64 * (4 * n))()
+    lib.mfqec_trial_states(*kernel.seed_prefix(master_seed, point_index),
+                           (ctypes.c_uint64 * n)(*indices), n, out)
+    return [out[4 * i:4 * i + 4] for i in range(n)]

@@ -2,13 +2,17 @@
 
 ``run_trial`` is the oracle: a kernel trial must end on the cycle the
 Python loop ends on, on the frame engine and on the tableau, because both
-consume one PCG64 stream draw for draw.
+consume one PCG64 stream draw for draw.  numpy is the oracle of the
+kernel's seeding: a trial's generator must be
+``PCG64(trial_seed(master, point, trial))`` word for word.
 """
 import json
 import os
+import shutil
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 
 from mfqec import kernel, montecarlo
@@ -24,14 +28,15 @@ from mfqec.montecarlo import (
     run_trial,
     trial_seed,
 )
-from kernelhooks import kernel_library
+from kernelhooks import kernel_library, pcg64_state, seed_state, trial_states
 
 SRC = os.path.dirname(os.path.dirname(montecarlo.__file__))
 
 
-def _kernel_result(trial, seed, max_cycles) -> TrialResult:
-    cycles = trial(seed)
-    return TrialResult(cycles or max_cycles, not cycles)
+def _kernel_results(block, master_seed, point_index, indices, max_cycles) -> list:
+    """The ``TrialResult`` of each trial ``block`` runs."""
+    return [TrialResult(cycles or max_cycles, not cycles)
+            for cycles in block(master_seed, point_index, indices)]
 
 
 # (code, variant, p): the TRIAL_BUDGETS of test_montecarlo, the unencoded
@@ -56,13 +61,14 @@ def test_kernel_matches_run_trial_on_both_engines(name, variant, p):
     kernel_library()
     circ = circuit_for(name, variant)
     frame, tableau = make_engine(circ, "frame"), make_engine(circ, "tableau")
-    trial = _kernel_trials(frame, p, 20_000)
-    assert trial is not None
+    block = _kernel_trials(frame, p, 20_000)
+    assert block is not None
+    got = _kernel_results(block, 7, 0, range(60), 20_000)
     for i in range(60):
         seed = trial_seed(7, 0, i)
         cfg = TrialConfig(p, seed, 20_000)
         expected = run_trial(cfg, frame)
-        assert _kernel_result(trial, seed, 20_000) == expected, seed
+        assert got[i] == expected, seed
         if i < 8:
             assert run_trial(cfg, tableau) == expected, seed
 
@@ -76,15 +82,15 @@ def test_kernel_on_both_sides_of_the_btpe_boundary(p):
     kernel_library()
     circ = circuit_for("surface17", Variant.PERFECT)
     frame, tableau = make_engine(circ, "frame"), make_engine(circ, "tableau")
-    trial = _kernel_trials(frame, p, 120)
-    assert (trial is not None) == (p * len(circ.error_sites("a")) <= 30)
-    cfgs = [TrialConfig(p, seed, 120) for seed in range(6)]
+    block = _kernel_trials(frame, p, 120)
+    assert (block is not None) == (p * len(circ.error_sites("a")) <= 30)
+    cfgs = [TrialConfig(p, trial_seed(3, 0, i), 120) for i in range(12)]
     expected = [run_trial(cfg, frame) for cfg in cfgs]
     assert not all(res.censored for res in expected)
-    if trial is not None:
-        assert [_kernel_result(trial, cfg.seed, 120) for cfg in cfgs] == expected
+    if block is not None:
+        assert _kernel_results(block, 3, 0, range(12), 120) == expected
         assert [run_trial(cfg, tableau) for cfg in cfgs[:2]] == expected[:2]
-    estimated = list(montecarlo._iter_trials(circ, p, 120, "frame", 3, 0, range(4)))
+    estimated = list(montecarlo._iter_trials(circ, p, 120, "frame", 3, 0, range(4), 3))
     assert estimated == [
         (i, res.cycles_to_failure, res.censored)
         for i, res in enumerate(run_trial(TrialConfig(p, trial_seed(3, 0, i), 120), frame)
@@ -129,28 +135,109 @@ def test_kernel_matches_run_trial_at_a_small_cycle_cap(name, variant, p, monkeyp
     recorder = _Recorder(frame, log)
     stops = {"run": 0, "cycle": 0}
     for max_cycles in (1, 2, 3, 5):
-        trial = _kernel_trials(frame, p, max_cycles)
+        block = _kernel_trials(frame, p, max_cycles)
+        got = _kernel_results(block, 11, max_cycles, range(40), max_cycles)
         for i in range(40):
             seed = trial_seed(11, max_cycles, i)
             log.clear()
             expected = run_trial(TrialConfig(p, seed, max_cycles), recorder)
-            assert _kernel_result(trial, seed, max_cycles) == expected, (max_cycles, seed)
+            assert got[i] == expected, (max_cycles, seed)
             if expected.censored:
                 stops[log[-1]] += 1
     assert stops["run"] and stops["cycle"], stops
 
 
 def test_estimate_in_the_kernel_matches_the_python_loop(monkeypatch):
-    """An estimate gives the same ``RateEstimate`` with the kernel, on one
-    or two workers, as with every trial run by ``run_trial``."""
+    """An estimate gives the same ``RateEstimate`` and the same progress
+    calls with the kernel, on one or two workers, as with every trial run
+    by ``run_trial``: the kernel runs its blocks in slices of the progress
+    tick.  45 trials do not split evenly into ticks or pool chunks."""
     kernel_library()
-    args = (BIT_FLIP_CODE, Variant.PERFECT, 0.03, 80, 42)
     kwargs = dict(point_index=2, max_cycles=100_000, engine="frame")
-    in_kernel = [estimate_logical_error_rate(*args, workers=w, **kwargs) for w in (1, 2)]
+
+    def run(n_trials, workers):
+        calls = []
+        est = estimate_logical_error_rate(BIT_FLIP_CODE, Variant.PERFECT, 0.03, n_trials,
+                                          42, workers=workers,
+                                          progress=lambda *c: calls.append(c), **kwargs)
+        return est, calls
+
+    cases = [(n, w) for n in (20, 45, 80) for w in (1, 2)]
+    in_kernel = [run(*case) for case in cases]
     monkeypatch.setattr(montecarlo, "_kernel_trials", lambda *a: None)
-    in_python = [estimate_logical_error_rate(*args, workers=w, **kwargs) for w in (1, 2)]
+    in_python = [run(*case) for case in cases]
     assert in_kernel == in_python
-    assert in_kernel[0] == in_kernel[1]
+    assert all(in_kernel[i] == in_kernel[i + 1] for i in range(0, len(cases), 2))
+    assert [calls[-1] for _, calls in in_kernel] == [(n, n) for n, _ in cases]
+
+
+def test_negative_master_seed_raises_trial_seeds_error(monkeypatch):
+    """A negative master seed raises ``trial_seed``'s ``ValueError`` in the
+    kernel as in the Python loop."""
+    kernel_library()
+    args = (BIT_FLIP_CODE, Variant.SIMPLIFIED, 0.05, 10, -1)
+    errors = []
+    for kernel_trials in (_kernel_trials, lambda *a: None):
+        monkeypatch.setattr(montecarlo, "_kernel_trials", kernel_trials)
+        with pytest.raises(ValueError) as caught:
+            estimate_logical_error_rate(*args, engine="frame")
+        errors.append(str(caught.value))
+    with pytest.raises(ValueError) as caught:
+        trial_seed(-1, 0, 0)
+    assert errors == [str(caught.value)] * 2
+
+
+@pytest.mark.parametrize("n_words", range(1, 10))
+def test_seed_sequence_hash_matches_numpy(n_words):
+    """The kernel's ``SeedSequence`` gives numpy's ``generate_state`` for
+    entropy of 1 to 9 words, past the pool of 4 too, on the words 0 and
+    2**32-1 and on random words."""
+    lib = kernel_library()
+    rng = np.random.default_rng(n_words)
+    entropies = [[0] * n_words, [2**32 - 1] * n_words,
+                 *(rng.integers(0, 2**32, n_words, dtype=np.uint64).tolist()
+                   for _ in range(20))]
+    for entropy in entropies:
+        expected = np.random.SeedSequence(np.array(entropy, np.uint32)).generate_state(
+            11, np.uint32).tolist()
+        assert seed_state(lib, entropy, 11) == expected, entropy
+
+
+def test_pcg64_seeding_matches_numpy():
+    """``PCG64(seed)`` seeded in C from integers that hash one word (0, 1,
+    2**32-1: a random trial seed is one of those with probability 2**-32)
+    or two."""
+    lib = kernel_library()
+    for seed in (0, 1, 2**32 - 1, 2**32, 2**64 - 1, 0x9E3779B97F4A7C15):
+        assert pcg64_state(lib, seed) == list(kernel.state_words(
+            np.random.PCG64(seed).state)), seed
+
+
+def test_block_seeding_matches_trial_seed():
+    """Each trial of a block starts from ``PCG64(trial_seed(master, point,
+    trial))``: master seeds of 1 to 4 words, points of 1 and 2, and trial
+    indices of 1 and 2 words."""
+    lib = kernel_library()
+    indices = [0, 1, 2, 1099, 2**32 - 1, 2**32, 2**40 + 5, 2**64 - 1]
+    for master in (0, 1, 42, 2**32 - 1, 2**32, 2**64 - 1, 2**100 + 7):
+        for point in (0, 7, 2**32 - 1, 2**32 + 3):
+            expected = [list(kernel.state_words(np.random.PCG64(
+                trial_seed(master, point, t)).state)) for t in indices]
+            assert trial_states(lib, master, point, indices) == expected, (master, point)
+
+
+def test_kernel_source_compiles_without_warnings(tmp_path):
+    """``_kernel.c`` builds with the production flags plus ``-Wall -Wextra
+    -Werror``: no implicit conversion or sign comparison slips into the
+    unsigned seeding arithmetic."""
+    if shutil.which("gcc") is None:
+        pytest.skip("no C compiler on PATH")
+    out = tmp_path / "kernel.so"
+    proc = subprocess.run(["gcc", *kernel.CFLAGS, "-Wall", "-Wextra", "-Werror",
+                           "-o", str(out), str(kernel.SOURCE), "-lm"],
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert out.exists()
 
 
 def test_kernel_runs_only_plain_frame_trials():
