@@ -7,6 +7,9 @@
  * SeedSequence hash and PCG64 seeding reproduced word for word, and a call
  * runs a whole block of trials.  Python computes every constant that needs
  * exp or lgamma (montecarlo._kernel_trials); this file only calls log1p.
+ * It also resamples montecarlo.resample_means's bootstraps: from a PCG64
+ * state handed over by Python, buffered half-word included, it makes the
+ * integers() draws numpy would and sums each resample exactly.
  *
  * Built by mfqec/kernel.py with -O2 -ffp-contract=off and no fast-math, so
  * that every double is rounded as Python rounds it.
@@ -423,6 +426,43 @@ void mfqec_skip_block(const circuit_t *c, const rate_t *r, int64_t max_cycles,
     }
 }
 
+static void state_words(const pcg64_t *rng, uint64_t *out)
+{
+    out[0] = (uint64_t)(rng->state >> 64);
+    out[1] = (uint64_t)rng->state;
+    out[2] = (uint64_t)(rng->inc >> 64);
+    out[3] = (uint64_t)rng->inc;
+}
+
+/* Bootstrap resampling, as montecarlo.resample_means: `state` is a PCG64
+ * state as six words (state high, state low, inc high, inc low, buffered
+ * half-word, its flag), read and then overwritten with the final state.
+ * For each of n_resamples resamples and each set j in order (sizes[j]
+ * values, the sets concatenated in `values`), draw sizes[j] indices by
+ * integers(sizes[j]) and write the sum of the picked values to
+ * out[r * n_sets + j]. */
+void mfqec_resample_sums(uint64_t *state, const int64_t *values, const int64_t *sizes,
+                         int64_t n_sets, int64_t n_resamples, int64_t *out)
+{
+    pcg64_t rng;
+    pcg64_init(&rng, state[0], state[1], state[2], state[3]);
+    rng.half = (uint32_t)state[4];
+    rng.has_half = (int)state[5];
+    for (int64_t r = 0; r < n_resamples; r++) {
+        const int64_t *set = values;
+        for (int64_t j = 0; j < n_sets; j++) {
+            int64_t n = sizes[j], sum = 0;
+            for (int64_t i = 0; i < n; i++)
+                sum += set[bounded(&rng, (uint64_t)n)];
+            *out++ = sum;
+            set += n;
+        }
+    }
+    state_words(&rng, state);
+    state[4] = rng.half;
+    state[5] = (uint64_t)rng.has_half;
+}
+
 /* Test hook: from a PCG64 state, make the draws of `program`, writing each
  * value to `out`: -2 is random(), -1 is binomial(n, p) at the constants of
  * `r`, and v >= 1 is integers(v). */
@@ -448,14 +488,6 @@ void mfqec_seed_state(const uint32_t *entropy, int64_t n, int64_t n_words, uint3
     uint32_t pool[SS_POOL];
     mix_entropy(entropy, n, pool);
     generate_state(pool, n_words, out);
-}
-
-static void state_words(const pcg64_t *rng, uint64_t *out)
-{
-    out[0] = (uint64_t)(rng->state >> 64);
-    out[1] = (uint64_t)rng->state;
-    out[2] = (uint64_t)(rng->inc >> 64);
-    out[3] = (uint64_t)rng->inc;
 }
 
 /* Test hook: the state of PCG64(seed) as (state high, state low, inc high,

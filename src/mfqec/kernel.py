@@ -1,7 +1,9 @@
 """Build and load the C trial kernel, ``_kernel.c``.
 
 The kernel seeds and runs whole blocks of skip-sampled trials on a frame
-engine's compiled cycles (``montecarlo._kernel_trials`` decides when).
+engine's compiled cycles (``montecarlo._kernel_trials`` decides when), and
+resamples bootstraps on a ``PCG64`` generator's own stream
+(``resample_sums``; ``montecarlo.resample_means`` decides when).
 Each trial's generator is ``PCG64(trial_seed(master, point, trial))``,
 made in C by numpy's own ``SeedSequence`` hash and PCG64 seeding, from the
 ``seed_words`` of master and point.  It is built on first
@@ -14,7 +16,7 @@ temporary name and moved into place with ``os.replace``, so that processes
 building at once (pool workers) all end up loading one complete file.
 ``library()`` loads it with ``ctypes`` once per process; if that fails (no
 compiler, a read-only package directory) it warns once and returns None,
-and the trials run in Python.
+and the trials and bootstraps run in Python.
 """
 from __future__ import annotations
 
@@ -26,6 +28,8 @@ import subprocess
 import warnings
 from functools import lru_cache
 from pathlib import Path
+
+import numpy as np
 
 SOURCE = Path(__file__).with_name("_kernel.c")
 BUILD_DIR = Path(__file__).with_name("__pycache__")
@@ -131,6 +135,23 @@ def skip_block(lib, circuit: Circuit, rate: Rate, max_cycles: int, prefix,
     return out[:]
 
 
+def resample_sums(lib, bit_generator, values, sizes, n_resamples: int):
+    """An (n_resamples, len(sizes)) int64 array: for each resample and each
+    set in order, the sum of ``sizes[j]`` values picked from set j by
+    ``integers(sizes[j])`` on the ``PCG64`` ``bit_generator``, whose state
+    is then set to where those draws leave it.  ``values`` holds the sets
+    concatenated; both are int64 arrays."""
+    state = bit_generator.state
+    words = np.array([*state_words(state), state["uinteger"], state["has_uint32"]],
+                     dtype=np.uint64)
+    out = np.empty((n_resamples, len(sizes)), dtype=np.int64)
+    lib.mfqec_resample_sums(words, values, sizes, len(sizes), n_resamples, out)
+    hi, lo, _, _, half, has_half = map(int, words)  # the increment stays
+    state["state"]["state"] = hi << 64 | lo
+    bit_generator.state = dict(state, has_uint32=has_half, uinteger=half)
+    return out
+
+
 def library_path(directory) -> Path:
     """Where the library built from today's source and flags lives."""
     digest = hashlib.sha256(SOURCE.read_bytes() + " ".join(CFLAGS).encode())
@@ -154,12 +175,14 @@ def build(directory) -> Path:
 
 def load(directory):
     """``ctypes`` handle of the library in ``directory`` (built if needed),
-    with the prototypes of its entry point and its test hooks."""
+    with the prototypes of its entry points and its test hooks."""
     lib = ctypes.CDLL(str(build(directory)))
     u32p, u64p = ctypes.POINTER(_u32), ctypes.POINTER(_u64)
+    u64a, i64a = (np.ctypeslib.ndpointer(t, flags="C") for t in (np.uint64, np.int64))
     for name, argtypes in [
         ("mfqec_skip_block", [ctypes.POINTER(Circuit), ctypes.POINTER(Rate), _i64,
                               u32p, _i64, u64p, _i64, ctypes.POINTER(_i64)]),
+        ("mfqec_resample_sums", [u64a, i64a, i64a, _i64, _i64, i64a]),
         ("mfqec_draws", [_u64, _u64, _u64, _u64, ctypes.POINTER(Rate), _i64,
                          ctypes.POINTER(_i64), _i64, ctypes.POINTER(_f64)]),
         ("mfqec_seed_state", [u32p, _i64, _i64, u32p]),
@@ -183,7 +206,7 @@ def library():
             lib = load(BUILD_DIR)
         except (OSError, subprocess.SubprocessError) as exc:
             detail = getattr(exc, "stderr", None) or exc
-            warnings.warn(f"C trial kernel unavailable, trials run in Python: {detail}",
+            warnings.warn(f"C kernel unavailable, running in Python: {detail}",
                           RuntimeWarning, stacklevel=2)
             lib = None
         _LIBRARY.append(lib)

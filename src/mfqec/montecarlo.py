@@ -53,6 +53,12 @@ and the oracle: the tableau, ``method="full"``, the BTPE range, a machine
 where the build fails (one ``RuntimeWarning``), and an engine wrapped in a
 proxy, as the benchmark's traced mode does, so a traced run measures the
 Python loop.
+
+The kernel also resamples both bootstraps, a point's CI and the
+threshold's (``resample_means`` says when): from the caller's PCG64 state
+it makes numpy's ``integers`` draws and sums each resample exactly, so
+every CI is the numpy loop's, bit for bit.  So a tableau-only run builds
+the kernel too, on its first bootstrap.
 """
 from __future__ import annotations
 
@@ -675,16 +681,45 @@ def trial_seed(master_seed: int, point_index: int, trial_index: int) -> int:
     return int(ss.generate_state(1, np.uint64)[0])
 
 
+def _sums_are_exact(a: np.ndarray) -> bool:
+    """Whether ``a`` is a non-empty 1-D set of at most 2**32 integers (of
+    any dtype) whose every resample sum is exact in a double."""
+    if a.ndim != 1 or not 0 < a.size <= 1 << 32 or a.dtype.kind not in "iuf":
+        return False
+    if a.dtype.kind == "f" and not np.all(np.isfinite(a) & (a == np.trunc(a))):
+        return False
+    return max(int(a.max()), -int(a.min())) * a.size < 1 << 53
+
+
+def resample_means(rng, sets, n_resamples: int) -> np.ndarray:
+    """Bootstrap means of each set: an (n_resamples, len(sets)) array whose
+    row r, column j is ``sets[j][rng.integers(0, n_j, size=n_j)].mean()``,
+    drawn resample by resample and set by set; ``rng`` is left where those
+    draws leave it.  The C kernel makes the draws when ``rng``'s bit
+    generator is a ``PCG64``, the library loads, and every set passes
+    ``_sums_are_exact``: a resample's integer sum is then exact in any
+    order, and sum / n is numpy's mean.  Otherwise the numpy loop below,
+    the kernel's oracle, runs."""
+    arrays = [np.asarray(s) for s in sets]
+    if (arrays and type(rng.bit_generator) is np.random.PCG64
+            and all(map(_sums_are_exact, arrays))):
+        from . import kernel
+
+        lib = kernel.library()
+        if lib is not None:
+            sizes = np.array([a.size for a in arrays], dtype=np.int64)
+            values = np.concatenate(arrays).astype(np.int64)
+            return kernel.resample_sums(lib, rng.bit_generator, values, sizes,
+                                        n_resamples) / sizes
+    means = np.empty((n_resamples, len(arrays)))
+    for r in range(n_resamples):
+        for j, a in enumerate(arrays):
+            means[r, j] = a[rng.integers(0, a.size, size=a.size)].mean()
+    return means
+
+
 def _bootstrap_ci(samples: np.ndarray, rng, n_bootstrap: int = 1000):
-    n = samples.size
-    means = np.empty(n_bootstrap)
-    chunk = max(1, min(n_bootstrap, int(2e7) // max(n, 1)))
-    done = 0
-    while done < n_bootstrap:
-        b = min(chunk, n_bootstrap - done)
-        idx = rng.integers(0, n, size=(b, n))
-        means[done : done + b] = samples[idx].mean(axis=1)
-        done += b
+    means = resample_means(rng, [samples], n_bootstrap)[:, 0]
     lo_mean, hi_mean = np.percentile(means, [2.5, 97.5])
     return float(1.0 / hi_mean), float(1.0 / lo_mean)
 

@@ -20,7 +20,7 @@ import numpy as np
 
 from .codes import CodeSpec
 from .circuits import Variant
-from .montecarlo import AllCensored, estimate_logical_error_rate
+from .montecarlo import AllCensored, estimate_logical_error_rate, resample_means
 
 __all__ = [
     "SweepPoint",
@@ -213,8 +213,7 @@ def _crossing_from_curve(ps: np.ndarray, p_logs: np.ndarray):
             lo = ps[i - 1] if i > 0 else ps[i]
             hi = ps[i + 1] if i + 1 < len(ps) else ps[i]
             return float(ps[i]), (float(lo), float(hi))
-    for i in range(len(ps) - 1):
-        if d[i] < 0.0 < d[i + 1]:
+        if i + 1 < len(ps) and d[i] < 0.0 < d[i + 1]:
             t = -d[i] / (d[i + 1] - d[i])
             log_pth = math.log(ps[i]) + t * (math.log(ps[i + 1]) - math.log(ps[i]))
             return math.exp(log_pth), (float(ps[i]), float(ps[i + 1]))
@@ -257,23 +256,16 @@ def find_threshold_crossing(
         )
     p_th, bracket = observed
 
-    rng = np.random.default_rng(seed)
-    cycles = [
-        np.asarray(pt.failure_cycles, dtype=np.float64) for pt in usable
-    ]
-    boot = []
-    for _ in range(n_bootstrap):
-        resampled = np.empty_like(p_logs)
-        for j, c in enumerate(cycles):
-            if c.size == 0:
-                resampled[j] = p_logs[j]
-            else:
-                resampled[j] = 1.0 / c[
-                    rng.integers(0, c.size, size=c.size)
-                ].mean()
-        hit = _crossing_from_curve(ps, resampled)
-        if hit is not None:
-            boot.append(hit[0])
+    drawn = [j for j, pt in enumerate(usable) if pt.failure_cycles]
+    means = resample_means(
+        np.random.default_rng(seed),
+        [np.asarray(usable[j].failure_cycles, dtype=np.float64) for j in drawn],
+        n_bootstrap,
+    )
+    curves = np.tile(p_logs, (n_bootstrap, 1))
+    curves[:, drawn] = 1.0 / means
+    hits = (_crossing_from_curve(ps, curve) for curve in curves)
+    boot = [hit[0] for hit in hits if hit is not None]
     if boot:
         ci = tuple(float(v) for v in np.percentile(boot, [2.5, 97.5]))
     else:

@@ -4,13 +4,17 @@
 Python loop ends on, on the frame engine and on the tableau, because both
 consume one PCG64 stream draw for draw.  numpy is the oracle of the
 kernel's seeding: a trial's generator must be
-``PCG64(trial_seed(master, point, trial))`` word for word.
+``PCG64(trial_seed(master, point, trial))`` word for word.  The numpy loop
+``sets[j][rng.integers(0, n, size=n)].mean()`` is the oracle of the
+kernel's bootstrap resampling: the same means, bit for bit, and the
+generator left in the same state.
 """
 import json
 import os
 import shutil
 import subprocess
 import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -25,9 +29,11 @@ from mfqec.montecarlo import (
     circuit_for,
     estimate_logical_error_rate,
     make_engine,
+    resample_means,
     run_trial,
     trial_seed,
 )
+from mfqec.threshold import SweepPoint, find_threshold_crossing, iter_sweep
 from kernelhooks import kernel_library, pcg64_state, seed_state, trial_states
 
 SRC = os.path.dirname(os.path.dirname(montecarlo.__file__))
@@ -171,6 +177,105 @@ def test_estimate_in_the_kernel_matches_the_python_loop(monkeypatch):
     assert [calls[-1] for _, calls in in_kernel] == [(n, n) for n, _ in cases]
 
 
+def _numpy_resample_means(rng, sets, n_resamples):
+    """The oracle: each set's bootstrap mean, drawn resample by resample
+    and set by set as numpy draws it."""
+    arrays = [np.asarray(s) for s in sets]
+    return np.array([[a[rng.integers(0, a.size, size=a.size)].mean() for a in arrays]
+                     for _ in range(n_resamples)]).reshape(n_resamples, len(arrays))
+
+
+def _resample_both_ways(make_rng, sets, n_resamples, monkeypatch):
+    """(means, final state) of ``resample_means`` and of the oracle, each
+    on a fresh ``make_rng()``, and how many kernel calls were made."""
+    calls = []
+    real = kernel.resample_sums
+    monkeypatch.setattr(kernel, "resample_sums", lambda *a: calls.append(1) or real(*a))
+    rng, oracle_rng = make_rng(), make_rng()
+    got = resample_means(rng, sets, n_resamples)
+    expected = _numpy_resample_means(oracle_rng, sets, n_resamples)
+    return ((got.tobytes(), _state(rng)), (expected.tobytes(), _state(oracle_rng)),
+            len(calls))
+
+
+def _state(rng) -> str:
+    """A generator's whole state, arrays included, as comparable text."""
+    return json.dumps(rng.bit_generator.state, default=np.ndarray.tolist, sort_keys=True)
+
+
+def _rng_with_buffered_half():
+    rng = np.random.default_rng(5)
+    rng.integers(0, 10)  # spends the low half of a word, buffers the high half
+    assert rng.bit_generator.state["has_uint32"] == 1
+    return rng
+
+
+_ODD_SETS = [np.arange(1, 8), [3], np.array([1.0, 9.0, 2.0, 2.0, 40.0]),
+             list(range(100, 113))]
+
+
+@pytest.mark.parametrize("make_rng", [
+    lambda: np.random.default_rng(3),
+    _rng_with_buffered_half,
+    lambda: np.random.default_rng(np.random.SeedSequence([2**33 + 5, 2])),
+    lambda: np.random.default_rng(2**64 + 1),
+], ids=["fresh", "buffered-half", "master-seed-2**33+5", "seed-2**64+1"])
+def test_kernel_resamples_match_numpy(make_rng, monkeypatch):
+    """Odd set sizes carry the buffered half-word across sets and
+    resamples, a size-1 set draws nothing, and a generator may come with a
+    half-word buffered: the kernel's means and final state are numpy's."""
+    kernel_library()
+    got, expected, calls = _resample_both_ways(make_rng, _ODD_SETS, 37, monkeypatch)
+    assert calls == 1
+    assert got == expected
+    rng = make_rng()
+    before = rng.bit_generator.state
+    assert np.array_equal(resample_means(rng, [[4], [7]], 5), [[4.0, 7.0]] * 5)
+    assert rng.bit_generator.state == before
+
+
+@pytest.mark.parametrize("make_rng,sets", [
+    (lambda: np.random.default_rng(1), [[1, 2, 3], [2**52, 1]]),
+    (lambda: np.random.default_rng(1), [[1.5, 2.0, 3.0]]),
+    (lambda: np.random.default_rng(1), [[1, 2, 3], []]),
+    (lambda: np.random.Generator(np.random.MT19937(1)), [[1, 2, 3], [4, 5]]),
+    (lambda: np.random.Generator(np.random.Philox(1)), [[1, 2, 3], [4, 5]]),
+], ids=["sum-past-2**53", "non-integer", "empty", "mt19937", "philox"])
+def test_resamples_outside_the_kernel_run_numpys_loop(make_rng, sets, monkeypatch):
+    """A sum that a double may round, a non-integer or empty set, or a
+    generator other than PCG64 leaves every draw of the call to numpy."""
+    kernel_library()
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)  # the mean of an empty set
+        got, expected, calls = _resample_both_ways(make_rng, sets, 9, monkeypatch)
+    assert calls == 0
+    assert got == expected
+
+
+def test_threshold_bootstrap_holds_points_without_failure_times(monkeypatch):
+    """Points with no failure times are held at their p_log, and the
+    kernel resamples the others in one call, as the numpy loop does."""
+    kernel_library()
+    rng = np.random.default_rng(12)
+    points = []
+    for i, p in enumerate(np.geomspace(0.005, 0.04, 6)):
+        cycles = rng.geometric(p * p / 0.015, size=31 + 2 * i)
+        if i in (1, 4):
+            cycles = cycles[:0]
+        p_log = float(p * p / 0.015) if i in (1, 4) else 1.0 / cycles.mean()
+        points.append(SweepPoint(p=float(p), p_log=p_log, ci_low=p_log, ci_high=p_log,
+                                 n_trials=60, n_censored=0, n_failures=60,
+                                 mean_cycles=1.0 / p_log, failure_cycles=tuple(cycles)))
+    sizes = []
+    real = kernel.resample_sums
+    monkeypatch.setattr(kernel, "resample_sums",
+                        lambda *a: sizes.append(list(a[3])) or real(*a))
+    in_kernel = find_threshold_crossing(points, n_bootstrap=300, seed=2**32 + 9)
+    assert sizes == [[31, 35, 37, 41]]
+    monkeypatch.setattr(kernel, "library", lambda: None)
+    assert find_threshold_crossing(points, n_bootstrap=300, seed=2**32 + 9) == in_kernel
+    assert in_kernel.ci[0] < in_kernel.p_th < in_kernel.ci[1]
+
 def test_negative_master_seed_raises_trial_seeds_error(monkeypatch):
     """A negative master seed raises ``trial_seed``'s ``ValueError`` in the
     kernel as in the Python loop."""
@@ -284,27 +389,40 @@ from mfqec import kernel
 from mfqec.circuits import Variant
 from mfqec.codes import BIT_FLIP_CODE
 from mfqec.montecarlo import estimate_logical_error_rate
+from mfqec.threshold import find_threshold_crossing, iter_sweep
 kernel.BUILD_DIR = kernel.Path(sys.argv[1])
 with warnings.catch_warnings(record=True) as caught:
     warnings.simplefilter("always")
     est = estimate_logical_error_rate(BIT_FLIP_CODE, Variant.SIMPLIFIED, 0.05, 50, 9,
                                       engine="frame")
-print(json.dumps({"estimate": repr(est), "kernel": kernel.library() is not None,
+    points = list(iter_sweep(BIT_FLIP_CODE, Variant.SIMPLIFIED, THRESHOLD_GRID, 60, 9,
+                             engine="frame"))
+    threshold = find_threshold_crossing(points, n_bootstrap=200, seed=3)
+print(json.dumps({"estimate": repr(est), "points": repr(points),
+                  "threshold": repr(threshold), "kernel": kernel.library() is not None,
                   "warnings": [w.category.__name__ for w in caught]}))
 """
+THRESHOLD_GRID = [0.008, 0.016, 0.032]
 
 
 def test_estimate_without_a_compiler_runs_in_python(tmp_path):
-    """With no ``gcc`` on PATH and no library built, an estimate warns once
-    and gives the very ``RateEstimate`` the kernel gives."""
+    """With no ``gcc`` on PATH and no library built, an estimate warns once,
+    runs its trials and both bootstraps in Python, and gives the very
+    ``RateEstimate``, sweep points and ``ThresholdEstimate`` the kernel
+    gives."""
     kernel_library()
     env = dict(os.environ, PYTHONPATH=SRC, PATH=str(tmp_path))
-    out = subprocess.run([sys.executable, "-c", _NO_COMPILER, str(tmp_path / "build")],
+    script = _NO_COMPILER.replace("THRESHOLD_GRID", repr(THRESHOLD_GRID))
+    out = subprocess.run([sys.executable, "-c", script, str(tmp_path / "build")],
                          env=env, capture_output=True, text=True, check=True, timeout=300)
     got = json.loads(out.stdout)
     expected = estimate_logical_error_rate(BIT_FLIP_CODE, Variant.SIMPLIFIED, 0.05, 50, 9,
                                            engine="frame")
-    assert got == {"estimate": repr(expected), "kernel": False,
+    points = list(iter_sweep(BIT_FLIP_CODE, Variant.SIMPLIFIED, THRESHOLD_GRID, 60, 9,
+                             engine="frame"))
+    threshold = find_threshold_crossing(points, n_bootstrap=200, seed=3)
+    assert got == {"estimate": repr(expected), "points": repr(points),
+                   "threshold": repr(threshold), "kernel": False,
                    "warnings": ["RuntimeWarning"]}
     assert not (tmp_path / "build").exists() or not os.listdir(tmp_path / "build")
 

@@ -107,6 +107,24 @@ def test_exact_grid_point_crossing():
     assert est.bracket == (0.01, 0.04)
 
 
+
+def test_first_crossing_in_grid_order_beats_a_later_tie():
+    # d = log(p_log) - log(p) is [-1, 1, 0]: the sign change in
+    # [0.01, 0.02] comes first in grid order, so the tie at 0.04 loses
+    points = [
+        _point(0.01, 0.01 / math.e),
+        _point(0.02, 0.02 * math.e),
+        _point(0.04, 0.04),
+    ]
+    est = find_threshold_crossing(points, n_bootstrap=10)
+    assert est.bracket == (0.01, 0.02)
+    assert est.p_th == pytest.approx(math.sqrt(0.01 * 0.02), rel=1e-12)
+    # a tie before the sign change is itself the crossing
+    est = find_threshold_crossing(
+        [_point(0.005, 0.005), *points[:2]], n_bootstrap=10
+    )
+    assert (est.p_th, est.bracket) == (0.005, (0.005, 0.01))
+
 def test_unsorted_and_censored_points_are_handled():
     p0 = 0.013
     grid = np.geomspace(p0 / 5, p0 * 5, 9)
@@ -230,3 +248,28 @@ def test_sweep_point_all_censored_is_nan():
     assert pt.n_trials == pt.n_censored == 5
     assert math.isnan(pt.p_log) and math.isnan(pt.mean_cycles)
     assert pt.failure_cycles == ()
+
+
+# A small seeded bf-simplified sweep (199 trials per point, seed 42, frame
+# engine): each point's bootstrap CI and the threshold's, recorded before
+# the bootstraps moved into the C kernel.  The failure times are pinned by
+# test_montecarlo's GOLDEN_STREAM; this pins what the two bootstraps make
+# of them.
+CI_PIN_GRID = [0.008, 0.0125, 0.02, 0.032]
+CI_PIN_POINTS = [
+    (0.005184154722269982, 0.006936154268436141),
+    (0.00931542182125859, 0.012272889864689846),
+    (0.01967360597919442, 0.02522835464220742),
+    (0.033535416517456534, 0.04273320735268854),
+]
+CI_PIN_THRESHOLD = (0.01675488379831216, (0.013410913777520113, 0.02093808433418322))
+
+
+def test_bootstrap_cis_match_the_pinned_stream():
+    points = list(iter_sweep(
+        BIT_FLIP_CODE, Variant.SIMPLIFIED, CI_PIN_GRID, 199, 42, engine="frame"
+    ))
+    assert [(pt.ci_low, pt.ci_high) for pt in points] == CI_PIN_POINTS
+    assert [pt.n_failures for pt in points] == [199] * 4
+    est = find_threshold_crossing(points, n_bootstrap=500, seed=1)
+    assert (est.p_th, est.ci) == CI_PIN_THRESHOLD
