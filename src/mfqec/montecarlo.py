@@ -52,7 +52,9 @@ beside the source.  Everything else runs ``run_trial``, the portable path
 and the oracle: the tableau, ``method="full"``, the BTPE range, a machine
 where the build fails (one ``RuntimeWarning``), and an engine wrapped in a
 proxy, as the benchmark's traced mode does, so a traced run measures the
-Python loop.
+Python loop.  A multi-worker estimate runs kernel trials on threads, since
+``ctypes`` releases the GIL around each kernel call, and Python-loop
+trials in a process pool, since they hold it.
 
 The kernel also resamples both bootstraps, a point's CI and the
 threshold's (``resample_means`` says when): from the caller's PCG64 state
@@ -66,7 +68,7 @@ import enum
 import math
 from bisect import bisect_right
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import lru_cache, partial
 from itertools import chain, product
 
 import numpy as np
@@ -794,6 +796,13 @@ def _kernel_trials(eng, p, max_cycles):
     return block
 
 
+def _kernel_slice(block, master_seed, point_index, max_cycles, indices):
+    """(trial index, cycles_to_failure, censored) for each of ``indices``,
+    from one call of a ``_kernel_trials`` block."""
+    return [(t, cycles or max_cycles, not cycles)
+            for t, cycles in zip(indices, block(master_seed, point_index, indices))]
+
+
 def _iter_trials(circuit: Circuit, p, max_cycles, engine, master_seed,
                  point_index, indices, slice_size):
     """Run the trials at ``indices`` on one engine, in order, yielding
@@ -809,9 +818,8 @@ def _iter_trials(circuit: Circuit, p, max_cycles, engine, master_seed,
             yield t, res.cycles_to_failure, res.censored
         return
     for start in range(0, len(indices), slice_size):
-        part = indices[start:start + slice_size]
-        for t, cycles in zip(part, block(master_seed, point_index, part)):
-            yield t, cycles or max_cycles, not cycles
+        yield from _kernel_slice(block, master_seed, point_index, max_cycles,
+                                 indices[start:start + slice_size])
 
 
 def _run_trial_block(args):
@@ -840,7 +848,17 @@ def estimate_logical_error_rate(
     """n_trials independent seeded trials; p_log = 1/mean cycles-to-failure
     over uncensored trials with a bootstrap CI.  Results are identical for
     any worker count because each trial's seed depends only on
-    (master_seed, point_index, trial index)."""
+    (master_seed, point_index, trial index) and results are stored by trial
+    index.
+
+    With ``workers > 1`` the trials go out in slices of at most ``tick``
+    trials (the serial path's progress step), and at least four slices per
+    worker where there are enough trials, to one pool per call: threads
+    when the C kernel runs them, since ``ctypes`` drops the GIL around each
+    kernel call, else processes, since ``run_trial`` holds it.  Forked
+    workers inherit the circuit and engine built here.  On any exception
+    (a ``KeyboardInterrupt`` from ``progress``, a crashed worker) pending
+    slices are cancelled, so at most one slice per worker still runs."""
     if n_trials < 1:
         raise ValueError("n_trials must be >= 1")
     results = [None] * n_trials
@@ -852,20 +870,31 @@ def estimate_logical_error_rate(
             if progress is not None and (done % tick == 0 or done == n_trials):
                 progress(done, n_trials)
 
+    circuit = circuit_for(code.name, variant)
     if workers > 1:
-        from concurrent.futures import ProcessPoolExecutor
+        block = _kernel_trials(make_engine(circuit, engine), p, max_cycles)
+        size = max(1, min(tick, n_trials // (4 * workers)))
+        slices = [range(s, min(s + size, n_trials)) for s in range(0, n_trials, size)]
+        if block is None:
+            from concurrent.futures import ProcessPoolExecutor
 
-        base = (code.name, variant.value, p, max_cycles, engine, master_seed,
-                point_index, tick)
-        chunks = [
-            list(range(i, n_trials, workers * 4)) for i in range(workers * 4)
-        ]
-        chunks = [c for c in chunks if c]
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            blocks = pool.map(_run_trial_block, [base + (c,) for c in chunks])
-            collect(chain.from_iterable(blocks))
+            pool = ProcessPoolExecutor(max_workers=workers)
+            base = (code.name, variant.value, p, max_cycles, engine, master_seed,
+                    point_index, tick)
+            task, tasks = _run_trial_block, [base + (s,) for s in slices]
+        else:
+            from concurrent.futures import ThreadPoolExecutor
+
+            pool = ThreadPoolExecutor(max_workers=workers)
+            task = partial(_kernel_slice, block, master_seed, point_index, max_cycles)
+            tasks = slices
+        with pool:
+            try:
+                collect(chain.from_iterable(pool.map(task, tasks)))
+            except BaseException:
+                pool.shutdown(cancel_futures=True)
+                raise
     else:
-        circuit = circuit_for(code.name, variant)
         collect(_iter_trials(circuit, p, max_cycles, engine, master_seed,
                              point_index, range(n_trials), tick))
     failure_cycles = [c for c, censored in results if not censored]

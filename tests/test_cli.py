@@ -5,10 +5,12 @@ plot-data export, and circuit listings.
 All invocations go through ``main(argv)`` in-process.
 """
 
+import concurrent.futures
 import csv
 import json
 import math
 import os
+import threading
 
 import pytest
 
@@ -27,6 +29,7 @@ from mfqec.cli import (
     main,
 )
 from mfqec.codes import BIT_FLIP_CODE, UNENCODED
+from kernelhooks import kernel_or_none
 
 
 def _cfg(**overrides):
@@ -311,7 +314,10 @@ def _crash_on_second_point(args):
 def test_worker_crash_writes_partial_csv(tmp_path, capsys, monkeypatch):
     """A pool worker that dies mid-sweep ends the run with exit status 1,
     the finished points in a partial CSV and the reason in the summary,
-    not with a traceback.  Workers are forked, so they see the patch."""
+    not with a traceback.  Kernel trials run on threads, so the trials are
+    sent to the Python loop, which runs in worker processes.  Workers are
+    forked, so they see the patches."""
+    monkeypatch.setattr(montecarlo, "_kernel_trials", lambda *a: None)
     monkeypatch.setattr(montecarlo, "_run_trial_block", _crash_on_second_point)
     rc, out = _run(tmp_path, "--workers", "2")
     captured = capsys.readouterr()
@@ -321,6 +327,42 @@ def test_worker_crash_writes_partial_csv(tmp_path, capsys, monkeypatch):
     assert summary["points"] == 1
     assert summary["error"].startswith("a worker process crashed")
     assert "Traceback" not in captured.err
+    assert out.read_text().splitlines()[0] == "# partial=true"
+    header, rows = _read_rows(out)
+    assert header == CSV_HEADER
+    assert [float(row["p"]) for row in rows] == [0.005]
+
+
+def test_interrupt_on_worker_threads_writes_partial_csv(tmp_path, capsys, monkeypatch):
+    """Ctrl-C while a kernel estimate's worker threads run (raised in the
+    calling thread, by the progress callback of grid point 1) ends the run
+    with exit status 1 and the finished point in a partial CSV, and leaves
+    no worker thread behind."""
+    if kernel_or_none() is None:
+        pytest.skip("no C compiler on PATH")
+    real = threshold.estimate_logical_error_rate
+
+    def interrupt_point_1(*args, point_index=0, progress=None, **kwargs):
+        def report(done, total):
+            if point_index == 1:
+                raise KeyboardInterrupt
+            progress(done, total)
+        return real(*args, point_index=point_index, progress=report, **kwargs)
+
+    def no_processes(*args, **kwargs):
+        raise AssertionError("kernel trials started a process pool")
+
+    monkeypatch.setattr(threshold, "estimate_logical_error_rate", interrupt_point_1)
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", no_processes)
+    baseline = threading.active_count()
+    rc, out = _run(tmp_path, "--workers", "2")
+    captured = capsys.readouterr()
+    assert threading.active_count() == baseline
+    assert rc == int(ExitStatus.CONFIG_ERROR)
+    summary = json.loads(captured.out.strip())
+    assert summary["partial"] is True
+    assert summary["points"] == 1
+    assert summary["error"] == "interrupted"
     assert out.read_text().splitlines()[0] == "# partial=true"
     header, rows = _read_rows(out)
     assert header == CSV_HEADER

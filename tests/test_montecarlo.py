@@ -6,11 +6,14 @@ engine against the reference tableau engine trial-for-trial, and the
 skip-ahead sampler against full per-cycle simulation distributionally.
 """
 
+import concurrent.futures
 import hashlib
 import json
 import os
 import subprocess
 import sys
+import threading
+import time
 from itertools import product
 
 import numpy as np
@@ -41,7 +44,7 @@ from mfqec.montecarlo import (
 )
 from mfqec.pauli import PauliOperator
 from mfqec.tableau import Sign
-from kernelhooks import kernel_draws, kernel_or_none
+from kernelhooks import kernel_draws, kernel_library, kernel_or_none
 
 
 def _pauli(n, xs=(), zs=()):
@@ -855,6 +858,94 @@ def test_estimate_progress_reporting():
         assert calls[-1] == (n, n)
         assert all(total == n for _, total in calls)
         assert [d for d, _ in calls] == sorted(d for d, _ in calls)
+
+
+def _estimate_with_progress(n, workers, engine):
+    """An estimate on bf simplified at p = 0.05 and its progress calls."""
+    calls = []
+    est = estimate_logical_error_rate(
+        BIT_FLIP_CODE, Variant.SIMPLIFIED, 0.05, n, 42,
+        max_cycles=100_000, engine=engine, workers=workers,
+        progress=lambda done, total: calls.append((done, total)),
+    )
+    return est, calls
+
+
+def _no_process_pool(*args, **kwargs):
+    raise AssertionError("a process pool was started")
+
+
+@pytest.mark.parametrize("n", [20, 45, 80])
+def test_kernel_estimate_runs_its_workers_on_threads(n, monkeypatch):
+    """Kernel trials of a multi-worker estimate start no process pool, and
+    the estimate equals the serial one, progress calls included."""
+    kernel_library()
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", _no_process_pool)
+    assert _estimate_with_progress(n, 2, "frame") == _estimate_with_progress(n, 1, "frame")
+
+
+class _ProxyEngine:
+    """An engine behind a proxy, as a traced benchmark run wraps it."""
+
+    def __init__(self, inner):
+        self.circuit = inner.circuit
+        self.new_run = inner.new_run
+        self.run_cycle = inner.run_cycle
+
+
+@pytest.mark.parametrize("engine", ["tableau", "frame-proxy"])
+def test_python_loop_estimate_runs_its_workers_in_one_process_pool(engine, monkeypatch):
+    """Trials that run in Python (the tableau, an engine proxy) go to one
+    process pool per multi-worker estimate, and the estimate equals the
+    serial one, progress calls included."""
+    if engine == "frame-proxy":
+        make = montecarlo.make_engine
+        monkeypatch.setattr(montecarlo, "make_engine",
+                            lambda circuit, name: _ProxyEngine(make(circuit, name)))
+        engine = "frame"
+    serial = _estimate_with_progress(45, 1, engine)
+    started = []
+
+    class CountingPool(concurrent.futures.ProcessPoolExecutor):
+        def __init__(self, *args, **kwargs):
+            started.append(self)
+            super().__init__(*args, **kwargs)
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", CountingPool)
+    assert _estimate_with_progress(45, 2, engine) == serial
+    assert len(started) == 1
+
+
+def test_interrupt_stops_a_threaded_estimate(monkeypatch):
+    """A KeyboardInterrupt from ``progress`` ends a multi-worker kernel
+    estimate: it propagates, slices not yet started never run, and no
+    worker thread is left when the call returns."""
+    kernel_library()
+    real = montecarlo._kernel_trials
+    calls = []
+
+    def slow_kernel_trials(*args):
+        block = real(*args)
+
+        def counted(*block_args):
+            calls.append(block_args)
+            time.sleep(0.02)
+            return block(*block_args)
+        return counted
+
+    def interrupt(done, total):
+        raise KeyboardInterrupt
+
+    monkeypatch.setattr(montecarlo, "_kernel_trials", slow_kernel_trials)
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", _no_process_pool)
+    baseline = threading.active_count()
+    with pytest.raises(KeyboardInterrupt):
+        estimate_logical_error_rate(
+            BIT_FLIP_CODE, Variant.SIMPLIFIED, 0.05, 400, 42,
+            max_cycles=100_000, engine="frame", workers=2, progress=interrupt,
+        )
+    assert threading.active_count() == baseline
+    assert 0 < len(calls) < 20  # 400 trials go out in 20 slices of 20
 
 
 def test_estimate_unencoded_baseline():
