@@ -851,11 +851,10 @@ def estimate_logical_error_rate(
     (master_seed, point_index, trial index) and results are stored by trial
     index.
 
-    With ``workers > 1`` the trials go out in slices of at most ``tick``
-    trials (the serial path's progress step), and at least four slices per
-    worker where there are enough trials, to one pool per call: threads
-    when the C kernel runs them, since ``ctypes`` drops the GIL around each
-    kernel call, else processes, since ``run_trial`` holds it.  Forked
+    With ``workers > 1`` the trials go out in slices of ``tick`` trials (the
+    serial path's progress step) to one pool per call: threads when the C
+    kernel runs them, since ``ctypes`` drops the GIL around each kernel
+    call, else processes, since ``run_trial`` holds it.  Forked
     workers inherit the circuit and engine built here.  On any exception
     (a ``KeyboardInterrupt`` from ``progress``, a crashed worker) pending
     slices are cancelled, so at most one slice per worker still runs."""
@@ -873,8 +872,7 @@ def estimate_logical_error_rate(
     circuit = circuit_for(code.name, variant)
     if workers > 1:
         block = _kernel_trials(make_engine(circuit, engine), p, max_cycles)
-        size = max(1, min(tick, n_trials // (4 * workers)))
-        slices = [range(s, min(s + size, n_trials)) for s in range(0, n_trials, size)]
+        slices = [range(s, min(s + tick, n_trials)) for s in range(0, n_trials, tick)]
         if block is None:
             from concurrent.futures import ProcessPoolExecutor
 
