@@ -7,6 +7,7 @@ validation errors, and error-site enumeration.
 """
 
 import dataclasses
+import hashlib
 import re
 from collections import Counter
 
@@ -27,7 +28,6 @@ from mfqec.circuits import (
     correction_targets,
     enumerate_error_sites,
     validate_circuit,
-    _extraction_order,
 )
 from mfqec.codes import BIT_FLIP_CODE, SURFACE17_CODE, CodeSpec
 from mfqec.errors import ErrorChannel
@@ -279,6 +279,35 @@ def test_bf_perfect_full_listing_golden():
 def test_bf_simplified_full_listing_golden():
     circ = build_circuit("bf", Variant.SIMPLIFIED)
     assert circuit_listing(circ, "a") == GOLDEN_BF_SIMPLIFIED_A
+
+
+# sha256 of circuit_listing(circ, which) for every encoded circuit, both
+# cycles: any change to a schedule (gate, order, step or qubit) moves these.
+LISTING_SHA256 = {
+    ("bf", Variant.PERFECT, "a"):
+        "28b2b9189a733ac1aa2e3edb179517d7cd76a6f3f607c2199c54e16b86186613",
+    ("bf", Variant.PERFECT, "b"):
+        "787b7e51f045d6a120532da9508d12dea2396a15d40a42a17af06639b46d19bc",
+    ("bf", Variant.SIMPLIFIED, "a"):
+        "83e7ad020d34064899a2b3e9975e66985cca3a5ca48f5df70b4768fea14c205e",
+    ("bf", Variant.SIMPLIFIED, "b"):
+        "58902a240ee26e0e02fd1230dddd04aca08c78dd14421ccf506b8a9d84a2a483",
+    ("surface17", Variant.PERFECT, "a"):
+        "38071c63863fcf34d7d4b20081378b753e591efe3b9e26bdc4a16f2af10ef88c",
+    ("surface17", Variant.PERFECT, "b"):
+        "6a3ff58431382afcff036127f4659e41e6a7ec4b884497cebb50430a4d04ec0f",
+    ("surface17", Variant.SIMPLIFIED, "a"):
+        "67154a15da9f829a3f94841ef4f1f6d244d12b345f2f72184ce7748f16f0596d",
+    ("surface17", Variant.SIMPLIFIED, "b"):
+        "d718b18ac825e44f67f010e25ae1d202d340676d6ae3c7dbc0860ffd18503027",
+}
+
+
+@pytest.mark.parametrize("name,variant,which", sorted(LISTING_SHA256, key=str))
+def test_encoded_listing_digests(name, variant, which):
+    listing = circuit_listing(build_circuit(name, variant), which)
+    digest = hashlib.sha256(listing.encode()).hexdigest()
+    assert digest == LISTING_SHA256[(name, variant, which)]
 
 
 def test_unencoded_circuit():
@@ -573,12 +602,56 @@ def test_correction_gates_match_plan(name, variant):
         assert sorted(seen_two, key=repr) == expect_two, which
 
 
-def test_extraction_orders_are_sorted_supports():
-    for support in (
-        *SURFACE17_CODE.z_stabilizers,
-        *SURFACE17_CODE.x_stabilizers,
-    ):
-        assert _extraction_order(support) == tuple(sorted(support))
+def _corners(support):
+    """Compass corner of each data qubit of a surface-17 plaquette, from
+    its grid position (row, col) = (q // 3, q % 3).  A weight-2 boundary
+    plaquette is centred half a cell outside the grid."""
+    pos = {q: (q // 3, q % 3) for q in support}
+    r = sum(row for row, _ in pos.values()) / len(pos)
+    c = sum(col for _, col in pos.values()) / len(pos)
+    if len(support) == 2:
+        (r0, c0), (r1, c1) = pos.values()
+        if r0 == r1:
+            r += -0.5 if r0 == 0 else 0.5
+        else:
+            c += -0.5 if c0 == 0 else 0.5
+    corners = {}
+    for q, (row, col) in pos.items():
+        assert abs(row - r) == 0.5 and abs(col - c) == 0.5, support
+        corners[q] = ("N" if row < r else "S") + ("W" if col < c else "E")
+    return corners
+
+
+@pytest.mark.parametrize("variant", [Variant.PERFECT, Variant.SIMPLIFIED])
+def test_surface17_extraction_visits_plaquettes_nw_ne_sw_se(variant):
+    """Every fresh syndrome ancilla's data CNOTs, in step order, walk its
+    plaquette NW, NE, SW, SE; each stabilizer is extracted once a cycle."""
+    circ = build_circuit("surface17", variant)
+    code = SURFACE17_CODE
+    compass = ("NW", "NE", "SW", "SE")
+    for which in ("a", "b"):
+        visits = {}  # ancilla -> (stabilizer type, [data qubits in order])
+        for step in circ.cycle(which):
+            for ins in step.instructions:
+                if ins.kind is not GateKind.CNOT:
+                    continue
+                c, t = ins.qubits
+                if circ.roles[c] is Role.DATA:  # Z-syndrome: data controls
+                    visits.setdefault(t, ("Z", []))[1].append(c)
+                elif circ.roles[t] is Role.DATA:  # X-syndrome controls data
+                    visits.setdefault(c, ("X", []))[1].append(t)
+        extracted = Counter()
+        for ancilla, (kind, order) in visits.items():
+            support = tuple(sorted(order))
+            stabs = code.z_stabilizers if kind == "Z" else code.x_stabilizers
+            assert support in stabs, (which, ancilla, order)
+            extracted[(kind, support)] += 1
+            corners = _corners(support)
+            walked = [corners[q] for q in order]
+            assert walked == [d for d in compass if d in walked], (
+                which, ancilla, walked
+            )
+        assert sorted(extracted.values()) == [1] * 8, which
 
 
 # ---------------------------------------------------------------------------
