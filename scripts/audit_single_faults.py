@@ -16,7 +16,7 @@ import time
 
 from mfqec.circuits import Variant
 from mfqec.errors import ErrorChannel
-from mfqec.montecarlo import circuit_for, run_single_fault
+from mfqec.montecarlo import ENGINES, circuit_for, run_single_fault
 
 LETTERS = ("I", "X", "Y", "Z")
 
@@ -33,7 +33,7 @@ def all_event_paulis(site):
 
 def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__)
-    ap.add_argument("--engine", default="frame", choices=["frame", "tableau"])
+    ap.add_argument("--engine", default="frame", choices=list(ENGINES))
     ap.add_argument("--follow-cycles", type=int, default=10)
     args = ap.parse_args(argv)
 

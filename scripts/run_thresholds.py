@@ -7,12 +7,13 @@ points per variant and a fixed master seed.  Writes
 ``{code}_{variant}.csv`` and its plot files to --out-dir.
 
 bf: 1100 trials per point, enough for >= 1000 failures.  Expected
-thresholds: simplified near 2.0e-2, perfect near 3.2e-3 (simplified
-also beats perfect because its cycle has fewer error sites).
+thresholds: simplified near 1.52e-2, perfect near 2.67e-3 (the exact
+X-frame Markov chain gives 0.01519 and 0.002667; simplified beats
+perfect because its cycle has fewer error sites).
 
 surface17: 330 trials per point, >= 300 failures.  Expected thresholds:
-simplified near the low 1e-4 range, perfect near the mid 1e-5 range,
-with simplified always above perfect.  Runtime is minutes with the
+simplified near 2.6e-4, perfect near 6.2e-5 (means over master seeds
+1-30), with simplified always above perfect.  Runtime is minutes with the
 frame engine; use --workers to parallelize across cores.
 """
 
@@ -23,6 +24,7 @@ import sys
 import numpy as np
 
 from mfqec.cli import main as mfqec_main
+from mfqec.montecarlo import ENGINES
 
 # (code, variant) -> (p grid, trials per point); the values equal the
 # acceptance suite's SWEEPS, which a test checks.
@@ -43,7 +45,7 @@ def main(argv=None) -> int:
                          "acceptance count)")
     ap.add_argument("--seed", type=int, default=42)
     ap.add_argument("--workers", type=int, default=1)
-    ap.add_argument("--engine", default="frame", choices=["frame", "tableau"])
+    ap.add_argument("--engine", default="frame", choices=list(ENGINES))
     ap.add_argument("--out-dir", default="results")
     args = ap.parse_args(argv)
 

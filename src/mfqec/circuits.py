@@ -6,6 +6,14 @@ sites is just walking the schedule.  Cycles differ only in which of the two
 syndrome-ancilla sets is freshly extracted ("current") and which still
 holds last cycle's syndrome ("stale").
 
+One builder makes the circuits of every code with stabilizers; only the
+code's stabilizers differ.  Its qubit layout follows from the code: data
+qubits first, then ancilla set A (one per Z-stabilizer, then one per
+X-stabilizer), set B laid out the same way, and in the perfect variant two
+removal ancillas per error type that has corrections.  Extraction visits
+each stabilizer's support in index order, one data qubit per layer.  The
+unencoded baseline is a single idling qubit.
+
 Correction strategy, per correctable error type:
 
 * a data qubit inside two stabilizers of the detecting type gets a
@@ -18,8 +26,8 @@ Correction strategy, per correctable error type:
   indistinguishable and the target choices differ only by a stabilizer.
 
 X errors are corrected by Toffolis controlled on Z-syndrome ancillas;
-Z errors by CCZs controlled on X-syndrome ancillas.  Same-cycle blocks are
-emitted before two-cycle blocks.
+Z errors by CCZs controlled on X-syndrome ancillas.  For each type,
+same-cycle blocks come before two-cycle blocks; X and Z blocks alternate.
 
 The "perfect" variant appends a removal block to every correction: a third
 ancilla records whether the correction fired (Toffoli), then CNOTs from it
@@ -38,7 +46,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .codes import BIT_FLIP_CODE, SURFACE17_CODE, UNENCODED, CodeSpec, _f2_rank
+from .codes import CODES, UNENCODED, CodeSpec, _f2_rank
 from .errors import ErrorChannel, ErrorSite
 
 
@@ -103,7 +111,6 @@ class Circuit:
     variant: Variant
     n_qubits: int
     roles: tuple
-    labels: tuple
     cycle_a: tuple  # of TimeStep
     cycle_b: tuple
 
@@ -311,186 +318,96 @@ def build_unencoded_circuit() -> Circuit:
         variant=Variant.NONE,
         n_qubits=1,
         roles=(Role.DATA,),
-        labels=("q0",),
         cycle_a=(step,),
         cycle_b=(step,),
     )
 
 
-def _bf_half_cycle(cur, stale, removal, perfect):
-    plan = correction_targets(BIT_FLIP_CODE, "X")
-    seq = [_reset(cur[0]), _reset(cur[1])]
-    if perfect:
-        seq += [_reset(c) for c in removal]
-    # syndrome extraction: data q is copied into the ancilla of every
-    # Z-stabilizer containing it
-    seq += [_cnot(0, cur[0]), _cnot(1, cur[1]), _cnot(1, cur[0]), _cnot(2, cur[1])]
-    removal_cycle = itertools.cycle(removal) if perfect else itertools.cycle([None])
-    for target, (i, j) in plan.same_cycle:
-        seq += _correction_block(
-            GateKind.TOFFOLI, (cur[i], cur[j]), target, next(removal_cycle)
-        )
-    for target, i in plan.two_cycle:
-        seq += _correction_block(
-            GateKind.TOFFOLI, (cur[i], stale[i]), target, next(removal_cycle)
-        )
-    if perfect:
-        seq = _defer_trailing_resets(seq, removal)
-    return seq
+def _correction_blocks(plan, cur, stale, kind):
+    """(kind, control pair, target) of every correction in ``plan``:
+    same-cycle corrections first, then two-cycle ones."""
+    return [
+        (kind, (cur[i], cur[j]), target) for target, (i, j) in plan.same_cycle
+    ] + [(kind, (cur[i], stale[i]), target) for target, i in plan.two_cycle]
 
 
-def _build_bf_circuit(variant: Variant) -> Circuit:
-    """Three-qubit bit-flip correction.  Layout: q0-q2 data, q3-q4 ancilla
-    set A, q5-q6 ancilla set B, and for the perfect variant q7-q8 removal."""
-    perfect = variant is Variant.PERFECT
-    n = 9 if perfect else 7
-    set_a, set_b = (3, 4), (5, 6)
-    removal = (7, 8) if perfect else ()
-    roles = (
-        (Role.DATA,) * 3
-        + (Role.SYNDROME_A,) * 2
-        + (Role.SYNDROME_B,) * 2
-        + (Role.REMOVAL,) * len(removal)
-    )
-    labels = ("d1", "d2", "d3", "a1", "a2", "b1", "b2") + tuple(
-        f"c{i+1}" for i in range(len(removal))
-    )
-    circ = Circuit(
-        name=f"bf-{variant.value}",
-        code=BIT_FLIP_CODE,
-        variant=variant,
-        n_qubits=n,
-        roles=roles,
-        labels=labels,
-        cycle_a=_pack(_bf_half_cycle(set_a, set_b, removal, perfect), n),
-        cycle_b=_pack(_bf_half_cycle(set_b, set_a, removal, perfect), n),
-    )
-    validate_circuit(circ)
-    return circ
-
-
-# surface-code extraction touches each plaquette's data qubits in a fixed
-# geometric order (grid position (row, col) = (q // 3, q % 3))
-NEIGHBOR_ORDER = ("NW", "NE", "SW", "SE")
-_OFFSETS = {"NW": (-0.5, -0.5), "NE": (-0.5, 0.5), "SW": (0.5, -0.5), "SE": (0.5, 0.5)}
-
-
-def _plaquette_center(support):
-    rows = [q // 3 for q in support]
-    cols = [q % 3 for q in support]
-    r = sum(rows) / len(rows)
-    c = sum(cols) / len(cols)
-    if len(support) == 2:
-        # boundary stabilizer: its center sits outside the grid
-        if rows[0] == rows[1]:
-            r += -0.5 if rows[0] == 0 else 0.5
-        else:
-            c += -0.5 if cols[0] == 0 else 0.5
-    return r, c
-
-
-def _extraction_order(support):
-    r, c = _plaquette_center(support)
-    pos = {(q // 3, q % 3): q for q in support}
-    ordered = []
-    for name in NEIGHBOR_ORDER:
-        dr, dc = _OFFSETS[name]
-        q = pos.get((int(r + dr), int(c + dc)))
-        if q is not None:
-            ordered.append(q)
-    if len(ordered) != len(support):
-        raise ValueError(f"support {support} is not a grid plaquette")
-    return tuple(ordered)
-
-
-def _s17_half_cycle(cur_z, cur_x, stale_z, stale_x, removal, perfect):
-    code = SURFACE17_CODE
-    x_plan = correction_targets(code, "X")
-    z_plan = correction_targets(code, "Z")
-    seq = [_reset(q) for q in (*cur_z, *cur_x)]
-    if perfect:
-        seq += [_reset(c) for c in removal]
-    # syndrome extraction; X-ancillas work in the Hadamard frame
+def _half_cycle(code, cur_z, cur_x, stale_z, stale_x, removal):
+    """One cycle's instruction sequence: refresh the ``cur`` ancillas,
+    correct from them (and from ``stale``), and, when ``removal`` qubits
+    are given (perfect variant), erase each used syndrome pair."""
+    seq = [_reset(q) for q in (*cur_z, *cur_x, *removal)]
+    # syndrome extraction; X-ancillas work in the Hadamard frame.  Each
+    # support is visited in index order: row-major on surface-17's 3x3
+    # grid, so every plaquette is walked NW, NE, SW, SE.
     seq += [Instruction(GateKind.H, (q,)) for q in cur_x]
-    z_orders = [_extraction_order(s) for s in code.z_stabilizers]
-    x_orders = [_extraction_order(s) for s in code.x_stabilizers]
-    for layer in range(4):
-        for i, order in enumerate(z_orders):
-            if layer < len(order):
-                seq.append(_cnot(order[layer], cur_z[i]))
-        for i, order in enumerate(x_orders):
-            if layer < len(order):
-                seq.append(_cnot(cur_x[i], order[layer]))
+    supports = (*code.z_stabilizers, *code.x_stabilizers)
+    for layer in range(max(map(len, supports))):
+        for i, support in enumerate(code.z_stabilizers):
+            if layer < len(support):
+                seq.append(_cnot(support[layer], cur_z[i]))
+        for i, support in enumerate(code.x_stabilizers):
+            if layer < len(support):
+                seq.append(_cnot(cur_x[i], support[layer]))
     seq += [Instruction(GateKind.H, (q,)) for q in cur_x]
-
-    def blocks(plan, cur, stale, kind):
-        out = []
-        for target, (i, j) in plan.same_cycle:
-            out.append((kind, (cur[i], cur[j]), target))
-        for target, i in plan.two_cycle:
-            out.append((kind, (cur[i], stale[i]), target))
-        return out
-
-    x_blocks = blocks(x_plan, cur_z, stale_z, GateKind.TOFFOLI)
-    z_blocks = blocks(z_plan, cur_x, stale_x, GateKind.CCZ)
-    if perfect:
-        x_removal = itertools.cycle(removal[:2])
-        z_removal = itertools.cycle(removal[2:])
-    else:
-        x_removal = z_removal = itertools.cycle([None])
+    x_blocks = _correction_blocks(
+        correction_targets(code, "X"), cur_z, stale_z, GateKind.TOFFOLI
+    )
+    z_blocks = _correction_blocks(
+        correction_targets(code, "Z"), cur_x, stale_x, GateKind.CCZ
+    )
+    # two removal qubits per error type that has corrections, X's first
+    split = 2 if x_blocks else 0
+    x_removal = itertools.cycle(removal[:split] or [None])
+    z_removal = itertools.cycle(removal[split:] or [None])
     for xb, zb in itertools.zip_longest(x_blocks, z_blocks):
         if xb is not None:
-            seq += _correction_block(xb[0], xb[1], xb[2], next(x_removal))
+            seq += _correction_block(*xb, next(x_removal))
         if zb is not None:
-            seq += _correction_block(zb[0], zb[1], zb[2], next(z_removal))
-    if perfect:
-        seq = _defer_trailing_resets(seq, removal)
-    return seq
+            seq += _correction_block(*zb, next(z_removal))
+    return _defer_trailing_resets(seq, removal)
 
 
-def _build_surface17_circuit(variant: Variant) -> Circuit:
-    """Distance-3 surface code correction.  Layout: q0-q8 data, q9-q16
-    ancilla set A (four Z-syndrome then four X-syndrome), q17-q24 set B,
-    and for the perfect variant q25-q28 removal."""
-    perfect = variant is Variant.PERFECT
-    n = 29 if perfect else 25
-    a_z, a_x = (9, 10, 11, 12), (13, 14, 15, 16)
-    b_z, b_x = (17, 18, 19, 20), (21, 22, 23, 24)
-    removal = (25, 26, 27, 28) if perfect else ()
-    roles = (
-        (Role.DATA,) * 9
-        + (Role.SYNDROME_A,) * 8
-        + (Role.SYNDROME_B,) * 8
-        + (Role.REMOVAL,) * len(removal)
+def _build_code_circuit(code: CodeSpec, variant: Variant) -> Circuit:
+    """The correction cycles of a code with stabilizers, on the qubit
+    layout of the module docstring: data, set A, set B, removal."""
+    n_z, n_x = len(code.z_stabilizers), len(code.x_stabilizers)
+    n_set = n_z + n_x
+    n_removal = 2 * (bool(n_z) + bool(n_x)) if variant is Variant.PERFECT else 0
+    bounds = list(itertools.accumulate(
+        (code.n_data, n_z, n_x, n_z, n_x, n_removal), initial=0
+    ))
+    _, a_z, a_x, b_z, b_x, removal = (
+        tuple(range(lo, hi)) for lo, hi in itertools.pairwise(bounds)
     )
-    labels = (
-        tuple(f"d{i+1}" for i in range(9))
-        + tuple(f"az{i+1}" for i in range(4))
-        + tuple(f"ax{i+1}" for i in range(4))
-        + tuple(f"bz{i+1}" for i in range(4))
-        + tuple(f"bx{i+1}" for i in range(4))
-        + tuple(f"c{i+1}" for i in range(len(removal)))
+    n = bounds[-1]
+    roles = (
+        (Role.DATA,) * code.n_data
+        + (Role.SYNDROME_A,) * n_set
+        + (Role.SYNDROME_B,) * n_set
+        + (Role.REMOVAL,) * n_removal
     )
     circ = Circuit(
-        name=f"surface17-{variant.value}",
-        code=SURFACE17_CODE,
+        name=f"{code.name}-{variant.value}",
+        code=code,
         variant=variant,
         n_qubits=n,
         roles=roles,
-        labels=labels,
-        cycle_a=_pack(_s17_half_cycle(a_z, a_x, b_z, b_x, removal, perfect), n),
-        cycle_b=_pack(_s17_half_cycle(b_z, b_x, a_z, a_x, removal, perfect), n),
+        cycle_a=_pack(_half_cycle(code, a_z, a_x, b_z, b_x, removal), n),
+        cycle_b=_pack(_half_cycle(code, b_z, b_x, a_z, a_x, removal), n),
     )
     validate_circuit(circ)
     return circ
 
 
-# The one list of buildable circuits: each code name, its builder and the
-# variants it builds, in listing order.
+# The one list of buildable circuits: each code of ``codes.CODES``, in its
+# order, with the variants it builds.
 CIRCUITS = {
-    "bf": (_build_bf_circuit, (Variant.PERFECT, Variant.SIMPLIFIED)),
-    "surface17": (_build_surface17_circuit, (Variant.PERFECT, Variant.SIMPLIFIED)),
-    "unencoded": (lambda variant: build_unencoded_circuit(), (Variant.NONE,)),
+    name: (
+        (Variant.PERFECT, Variant.SIMPLIFIED)
+        if code.z_stabilizers or code.x_stabilizers
+        else (Variant.NONE,)
+    )
+    for name, code in CODES.items()
 }
 
 
@@ -498,12 +415,14 @@ def build_circuit(code_name: str, variant: Variant) -> Circuit:
     """The circuit of a (code, variant) pair listed in ``CIRCUITS``; any
     other pair is a ValueError."""
     try:
-        builder, variants = CIRCUITS[code_name]
+        variants = CIRCUITS[code_name]
     except KeyError:
         raise ValueError(f"unknown code {code_name!r}") from None
     if variant not in variants:
         raise ValueError(f"code {code_name!r} has no {variant.value!r} variant")
-    return builder(variant)
+    if variant is Variant.NONE:
+        return build_unencoded_circuit()
+    return _build_code_circuit(CODES[code_name], variant)
 
 
 # ---------------------------------------------------------------------------

@@ -40,6 +40,7 @@ from dataclasses import dataclass, fields
 
 from .circuits import CIRCUITS, Variant, build_circuit, circuit_listing
 from .codes import CODES
+from .montecarlo import ENGINES
 from .threshold import (
     NoCrossing,
     SweepPoint,
@@ -116,10 +117,9 @@ class RunConfig:
                 f"master_seed: must be a non-negative integer, got "
                 f"{self.master_seed!r}"
             )
-        if self.engine not in ("tableau", "frame"):
-            raise ConfigError(
-                f"engine: must be 'tableau' or 'frame', got {self.engine!r}"
-            )
+        if self.engine not in ENGINES:
+            takes = " or ".join(repr(name) for name in ENGINES)
+            raise ConfigError(f"engine: must be {takes}, got {self.engine!r}")
         if not self.output_path:
             raise ConfigError("output_path: must be a non-empty path")
 
@@ -138,12 +138,12 @@ def _circuit_pairs(code, variant) -> list:
     of ``run`` and ``list-circuits``.  No match is a config error."""
     pairs = [
         (c, v)
-        for c, (_, variants) in CIRCUITS.items()
+        for c, variants in CIRCUITS.items()
         for v in variants
         if code in (None, c) and variant in (None, v.value)
     ]
     if not pairs:
-        takes = " or ".join(repr(v.value) for v in CIRCUITS[code][1])
+        takes = " or ".join(repr(v.value) for v in CIRCUITS[code])
         raise ConfigError(
             f"variant: code {code!r} takes only {takes}, got {variant!r}"
         )
@@ -464,7 +464,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--out", "--output-path", dest="out", help="output CSV path"
     )
     run.add_argument(
-        "--engine", choices=["tableau", "frame"],
+        "--engine", choices=list(ENGINES),
         help="simulation engine (identical results; frame is faster)",
     )
     run.set_defaults(func=run_command)

@@ -444,7 +444,7 @@ class _FrameEngine:
         return Classification.CLEAN_ZERO
 
 
-_ENGINES = {"tableau": _TableauEngine, "frame": _FrameEngine}
+ENGINES = {"tableau": _TableauEngine, "frame": _FrameEngine}
 
 
 def make_engine(circuit: Circuit, name: str):
@@ -454,7 +454,7 @@ def make_engine(circuit: Circuit, name: str):
     eng = circuit.engines.get(name)
     if eng is None:
         try:
-            cls = _ENGINES[name]
+            cls = ENGINES[name]
         except KeyError:
             raise ValueError(f"unknown engine {name!r}") from None
         eng = circuit.engines[name] = cls(circuit)

@@ -397,7 +397,6 @@ def test_simplified_is_perfect_without_removal(name):
     # the two variants agree on every non-removal qubit
     assert min(removal) == simplified.n_qubits
     assert perfect.roles[: simplified.n_qubits] == simplified.roles
-    assert perfect.labels[: simplified.n_qubits] == simplified.labels
     for which in ("a", "b"):
         kept = Counter(
             (kind, qubits)
@@ -667,7 +666,6 @@ def _mini(instructions, roles, variant=Variant.NONE):
         variant=variant,
         n_qubits=len(roles),
         roles=tuple(roles),
-        labels=tuple(f"q{i}" for i in range(len(roles))),
         cycle_a=(step,),
         cycle_b=(step,),
     )
