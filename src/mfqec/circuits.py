@@ -210,21 +210,6 @@ class CorrectionPlan:
     two_cycle: tuple   # of (gate target, stab_i), one per sole-detector stab
     two_cycle_members: tuple  # of (stab_i, (data_qubit, ...)) full classes
 
-    @property
-    def targets(self) -> tuple:
-        return tuple(t for t, _ in self.same_cycle) + tuple(
-            t for t, _ in self.two_cycle
-        )
-
-    @property
-    def same_cycle_qubits(self) -> tuple:
-        return tuple(sorted(q for q, _ in self.same_cycle))
-
-    @property
-    def two_cycle_qubits(self) -> tuple:
-        qs = [q for _, members in self.two_cycle_members for q in members]
-        return tuple(sorted(qs))
-
 
 def _in_f2_rowspace(rows, vec, n: int) -> bool:
     if not any(vec):

@@ -52,9 +52,11 @@ beside the source.  Everything else runs ``run_trial``, the portable path
 and the oracle: the tableau, ``method="full"``, the BTPE range, a machine
 where the build fails (one ``RuntimeWarning``), and an engine wrapped in a
 proxy, as the benchmark's traced mode does, so a traced run measures the
-Python loop.  A multi-worker estimate runs kernel trials on threads, since
+Python loop.  An estimate decides once which of the two runs its trials;
+either way a slice of trials returns each one's flip cycle, or 0.  One
+worker runs the slices itself; more run kernel slices on threads, since
 ``ctypes`` releases the GIL around each kernel call, and Python-loop
-trials in a process pool, since they hold it.
+slices in a process pool, since they hold it.
 
 The kernel also resamples both bootstraps, a point's CI and the
 threshold's (``resample_means`` says when): from the caller's PCG64 state
@@ -66,10 +68,9 @@ from __future__ import annotations
 
 import enum
 import math
-from bisect import bisect_right
 from dataclasses import dataclass
 from functools import lru_cache, partial
-from itertools import chain, product
+from itertools import product
 
 import numpy as np
 
@@ -211,6 +212,8 @@ class _TableauEngine:
 # ---------------------------------------------------------------------------
 
 _OP_H, _OP_CNOT, _OP_TOFX, _OP_TOFZ, _OP_RESET = range(5)
+_OPCODES = {GateKind.H: _OP_H, GateKind.CNOT: _OP_CNOT, GateKind.TOFFOLI: _OP_TOFX,
+            GateKind.CCZ: _OP_TOFZ, GateKind.RESET: _OP_RESET}
 
 # The channel numbers of the C kernel's site rows.
 _CHANNEL_CODES = {ErrorChannel.MEMORY: 0, ErrorChannel.TWO_QUBIT: 1,
@@ -282,57 +285,34 @@ class _FrameEngine:
 
     @staticmethod
     def _compile(circuit: Circuit, which: str):
+        """One cycle as the C kernel's rows: op rows (opcode, three masks),
+        a reset carrying its qubit's mask; one site row per instruction
+        (ops executed up to and including it, channel, three qubit masks),
+        zero-padded; and each site's index."""
         ops = []
-        op_site = []  # site index of each compiled op, ascending
-        idx = 0
-        for step in circuit.cycle(which):
-            for ins in step.instructions:
-                kind = ins.kind
-                if kind is GateKind.CNOT:
-                    c, t = ins.qubits
-                    ops.append((_OP_CNOT, 1 << c, 1 << t))
-                elif kind is GateKind.TOFFOLI:
-                    c1, c2, t = ins.qubits
-                    ops.append((_OP_TOFX, 1 << c1, 1 << c2, 1 << t))
-                elif kind is GateKind.CCZ:
-                    c1, c2, t = ins.qubits
-                    ops.append((_OP_TOFZ, 1 << c1, 1 << c2, 1 << t))
-                elif kind is GateKind.RESET:
-                    ops.append((_OP_RESET, ~(1 << ins.qubits[0])))
-                elif kind is GateKind.H:
-                    ops.append((_OP_H, 1 << ins.qubits[0]))
-                else:  # IDLE
-                    idx += 1
-                    continue
-                op_site.append(idx)
-                idx += 1
+        sites = []
+        instructions = (ins for step in circuit.cycle(which) for ins in step.instructions)
+        for ins, site in zip(instructions, circuit.error_sites(which), strict=True):
+            masks = tuple(1 << q for q in ins.qubits) + (0,) * (3 - len(ins.qubits))
+            opcode = _OPCODES.get(ins.kind)
+            if opcode is not None:  # IDLE changes no frame
+                ops.append((opcode, *masks))
+            sites.append((len(ops), _CHANNEL_CODES[site.channel], *masks))
         site_index = {site: i for i, site in enumerate(circuit.error_sites(which))}
-        return ops, op_site, site_index
+        return ops, sites, site_index
 
     def new_run(self):
         return [0, 0]  # [x frame, z frame]
 
     def kernel_circuit(self):
         """The compiled cycles and classifier masks as a ``kernel.Circuit``
-        for the C kernel, packed on first use.  Op rows are (opcode, masks),
-        a reset carrying its qubit's mask; site rows are (ops executed before
-        the site's event, channel, qubit masks)."""
+        for the C kernel, packed on first use."""
         if self._packed is None:
             from . import kernel
 
-            cycles = []
-            for which in "ab":
-                ops, op_site, _ = self._compiled[which]
-                op_rows = [(op[0], ~op[1]) if op[0] == _OP_RESET else op for op in ops]
-                site_rows = [
-                    (bisect_right(op_site, i), _CHANNEL_CODES[site.channel],
-                     *(1 << q for q in site.qubits))
-                    for i, site in enumerate(self.circuit.error_sites(which))]
-                cycles.append(([row + (0,) * (4 - len(row)) for row in op_rows],
-                               [row + (0,) * (5 - len(row)) for row in site_rows]))
             self._packed = kernel.pack_circuit(
-                cycles, _site_count(self.circuit), self.gen_masks,
-                self.zl_mask, self.nondata_mask)
+                [self._compiled[which][:2] for which in "ab"], _site_count(self.circuit),
+                self.gen_masks, self.zl_mask, self.nondata_mask)
         return self._packed
 
     def memo_sizes(self) -> dict:
@@ -362,8 +342,8 @@ class _FrameEngine:
                 if (fx & op[1]) and (fx & op[2]):
                     fz ^= op[3]
             elif code == _OP_RESET:
-                fx &= op[1]
-                fz &= op[1]
+                fx &= ~op[1]
+                fz &= ~op[1]
             else:  # H: swap the two frame bits on the qubit
                 m = op[1]
                 if bool(fx & m) != bool(fz & m):
@@ -411,10 +391,10 @@ class _FrameEngine:
 
     def _transition(self, selector: str, fx, fz, events):
         """One cycle from frame (fx, fz): (fx', fz', classification)."""
-        ops, op_site, site_index = self._compiled[selector]
+        ops, sites, site_index = self._compiled[selector]
         done = 0
         for ev in sorted(events, key=lambda e: site_index[e.site]):
-            upto = bisect_right(op_site, site_index[ev.site])
+            upto = sites[site_index[ev.site]][0]
             if fx or fz:  # no op changes the all-zero frame
                 fx, fz = self._exec(ops, done, upto, fx, fz)
             done = upto
@@ -796,39 +776,25 @@ def _kernel_trials(eng, p, max_cycles):
     return block
 
 
-def _kernel_slice(block, master_seed, point_index, max_cycles, indices):
-    """(trial index, cycles_to_failure, censored) for each of ``indices``,
-    from one call of a ``_kernel_trials`` block."""
-    return [(t, cycles or max_cycles, not cycles)
-            for t, cycles in zip(indices, block(master_seed, point_index, indices))]
-
-
-def _iter_trials(circuit: Circuit, p, max_cycles, engine, master_seed,
-                 point_index, indices, slice_size):
-    """Run the trials at ``indices`` on one engine, in order, yielding
-    (trial index, cycles_to_failure, censored) for each: in the C kernel,
-    ``slice_size`` trials per call, where ``_kernel_trials`` allows it, else
-    through ``run_trial``."""
-    eng = make_engine(circuit, engine)
-    block = _kernel_trials(eng, p, max_cycles)
-    if block is None:
-        for t in indices:
-            seed = trial_seed(master_seed, point_index, t)
-            res = run_trial(TrialConfig(p, seed, max_cycles), eng)
-            yield t, res.cycles_to_failure, res.censored
-        return
-    for start in range(0, len(indices), slice_size):
-        yield from _kernel_slice(block, master_seed, point_index, max_cycles,
-                                 indices[start:start + slice_size])
+def _python_trials(code_name, variant_value, p, max_cycles, engine, master_seed,
+                   point_index, indices) -> list:
+    """What a ``_kernel_trials`` block returns for ``indices``, each trial's
+    cycle of the logical flip or 0 when censored, from ``run_trial`` on the
+    engine called ``engine`` of the circuit of ``code_name`` and
+    ``variant_value``."""
+    eng = make_engine(circuit_for(code_name, Variant(variant_value)), engine)
+    cycles = []
+    for t in indices:
+        res = run_trial(TrialConfig(p, trial_seed(master_seed, point_index, t),
+                                    max_cycles), eng)
+        cycles.append(0 if res.censored else res.cycles_to_failure)
+    return cycles
 
 
 def _run_trial_block(args):
-    """Process-pool entry point; the trial indices are the last argument."""
-    (code_name, variant_value, p, max_cycles, engine, master_seed, point_index,
-     slice_size, indices) = args
-    circuit = circuit_for(code_name, Variant(variant_value))
-    return list(_iter_trials(circuit, p, max_cycles, engine, master_seed,
-                             point_index, indices, slice_size))
+    """Process-pool entry point: ``_python_trials(*args)``, so the trial
+    indices are the last argument."""
+    return _python_trials(*args)
 
 
 def estimate_logical_error_rate(
@@ -848,59 +814,56 @@ def estimate_logical_error_rate(
     """n_trials independent seeded trials; p_log = 1/mean cycles-to-failure
     over uncensored trials with a bootstrap CI.  Results are identical for
     any worker count because each trial's seed depends only on
-    (master_seed, point_index, trial index) and results are stored by trial
-    index.
+    (master_seed, point_index, trial index) and the slices are joined in
+    trial order.
 
-    With ``workers > 1`` the trials go out in slices of ``tick`` trials (the
-    serial path's progress step) to one pool per call: threads when the C
-    kernel runs them, since ``ctypes`` drops the GIL around each kernel
-    call, else processes, since ``run_trial`` holds it.  Forked
-    workers inherit the circuit and engine built here.  On any exception
-    (a ``KeyboardInterrupt`` from ``progress``, a crashed worker) pending
-    slices are cancelled, so at most one slice per worker still runs."""
+    ``_kernel_trials`` decides once whether the C kernel or ``run_trial``
+    runs the trials.  Either way they are cut into slices of ``tick``
+    trials, the progress step, and each slice returns each trial's flip
+    cycle, 0 when censored.  The slices run in this thread with one worker;
+    with more, on a thread pool when the kernel runs them, since ``ctypes``
+    drops the GIL around each kernel call, else on a process pool, since
+    ``run_trial`` holds it.  Forked workers inherit the circuit and engine
+    built here.  On any exception (a ``KeyboardInterrupt`` from
+    ``progress``, a crashed worker) pending slices are cancelled, so at
+    most one slice per worker still runs."""
     if n_trials < 1:
         raise ValueError("n_trials must be >= 1")
-    results = [None] * n_trials
     tick = max(1, n_trials // 20)
+    slices = [range(s, min(s + tick, n_trials)) for s in range(0, n_trials, tick)]
+    block = _kernel_trials(make_engine(circuit_for(code.name, variant), engine),
+                           p, max_cycles)
+    base = (code.name, variant.value, p, max_cycles, engine, master_seed, point_index)
+    run_slice = (partial(_python_trials, *base) if block is None
+                 else partial(block, master_seed, point_index))
+    pool = None
+    if workers <= 1:
+        parts = map(run_slice, slices)
+    elif block is not None:
+        from concurrent.futures import ThreadPoolExecutor
 
-    def collect(trials):
-        for done, (t, cycles, censored) in enumerate(trials, start=1):
-            results[t] = (cycles, censored)
-            if progress is not None and (done % tick == 0 or done == n_trials):
-                progress(done, n_trials)
-
-    circuit = circuit_for(code.name, variant)
-    if workers > 1:
-        block = _kernel_trials(make_engine(circuit, engine), p, max_cycles)
-        slices = [range(s, min(s + tick, n_trials)) for s in range(0, n_trials, tick)]
-        if block is None:
-            from concurrent.futures import ProcessPoolExecutor
-
-            pool = ProcessPoolExecutor(max_workers=workers)
-            base = (code.name, variant.value, p, max_cycles, engine, master_seed,
-                    point_index, tick)
-            task, tasks = _run_trial_block, [base + (s,) for s in slices]
-        else:
-            from concurrent.futures import ThreadPoolExecutor
-
-            pool = ThreadPoolExecutor(max_workers=workers)
-            task = partial(_kernel_slice, block, master_seed, point_index, max_cycles)
-            tasks = slices
-        with pool:
-            try:
-                collect(chain.from_iterable(pool.map(task, tasks)))
-            except BaseException:
-                pool.shutdown(cancel_futures=True)
-                raise
+        pool = ThreadPoolExecutor(max_workers=workers)
+        parts = pool.map(run_slice, slices)
     else:
-        collect(_iter_trials(circuit, p, max_cycles, engine, master_seed,
-                             point_index, range(n_trials), tick))
-    failure_cycles = [c for c, censored in results if not censored]
-    n_censored = sum(1 for _, censored in results if censored)
+        from concurrent.futures import ProcessPoolExecutor
+
+        pool = ProcessPoolExecutor(max_workers=workers)
+        parts = pool.map(_run_trial_block, [base + (s,) for s in slices])
+    cycles = []
+    try:
+        for part in parts:
+            cycles += part
+            if progress is not None:
+                progress(len(cycles), n_trials)
+    finally:
+        if pool is not None:
+            pool.shutdown(cancel_futures=True)
+    failure_cycles = [c for c in cycles if c]
     boot_rng = np.random.default_rng(
         np.random.SeedSequence([master_seed, point_index])
     )
-    return aggregate_rate_estimate(failure_cycles, n_censored, boot_rng, n_bootstrap)
+    return aggregate_rate_estimate(failure_cycles, n_trials - len(failure_cycles),
+                                   boot_rng, n_bootstrap)
 
 
 # ---------------------------------------------------------------------------

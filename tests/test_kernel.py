@@ -9,6 +9,7 @@ kernel's seeding: a trial's generator must be
 kernel's bootstrap resampling: the same means, bit for bit, and the
 generator left in the same state.
 """
+import hashlib
 import json
 import os
 import shutil
@@ -96,11 +97,24 @@ def test_kernel_on_both_sides_of_the_btpe_boundary(p):
     if block is not None:
         assert _kernel_results(block, 3, 0, range(12), 120) == expected
         assert [run_trial(cfg, tableau) for cfg in cfgs[:2]] == expected[:2]
-    estimated = list(montecarlo._iter_trials(circ, p, 120, "frame", 3, 0, range(4), 3))
-    assert estimated == [
-        (i, res.cycles_to_failure, res.censored)
-        for i, res in enumerate(run_trial(TrialConfig(p, trial_seed(3, 0, i), 120), frame)
-                                for i in range(4))]
+    estimated = montecarlo._python_trials("surface17", Variant.PERFECT.value, p, 120,
+                                          "frame", 3, 0, range(4))
+    assert estimated == [0 if res.censored else res.cycles_to_failure
+                         for res in expected[:4]]
+
+
+def test_python_slice_equals_the_kernel_block():
+    """A slice of Python-loop trials returns what the kernel block returns
+    for it, each trial's flip cycle and 0 for a censored one, so an
+    estimate joins either kind of slice the same way."""
+    kernel_library()
+    circ = circuit_for("bf", Variant.SIMPLIFIED)
+    block = _kernel_trials(make_engine(circ, "frame"), 0.08, 4)
+    indices = range(5, 45)
+    got = montecarlo._python_trials("bf", Variant.SIMPLIFIED.value, 0.08, 4, "frame",
+                                    11, 2, indices)
+    assert got == block(11, 2, indices)
+    assert 0 in got and any(got)
 
 
 class _Recorder:
@@ -360,6 +374,41 @@ def test_kernel_runs_only_plain_frame_trials():
     assert _kernel_trials(frame, 0.0, 100) is None
     big = circuit_for("surface17", Variant.PERFECT)
     assert _kernel_trials(make_engine(big, "frame"), 0.95, 100) is None
+
+
+def _packed_digest(packed) -> str:
+    """sha256 of a ``kernel.Circuit``'s rows and masks: each cycle's op rows
+    and site rows, the generators, the site count and both masks."""
+    words = []
+    for cyc in packed.cycle:
+        words.append(cyc.ops[:4 * cyc.n_ops])
+        words.append(cyc.sites[:5 * packed.n_sites])
+    words.append(packed.gens[:2 * packed.n_gens])
+    words.append([packed.n_sites, packed.zl_mask, packed.nondata_mask])
+    return hashlib.sha256(json.dumps(words).encode()).hexdigest()
+
+
+KERNEL_CIRCUIT_DIGESTS = {
+    ("bf", Variant.SIMPLIFIED):
+        "3b8e157d01cf970812d1b363b3ec7b3310f7569d4e87272494b73848d797622b",
+    ("bf", Variant.PERFECT):
+        "eb43d298023b3a6de858a763dd8f39fbb545aa55ace4e5666edd3de4b495b24e",
+    ("surface17", Variant.SIMPLIFIED):
+        "7f475b4dc76e658659ed130c2d52ce4d52a0fed8d923590593e4918bd1d8072b",
+    ("surface17", Variant.PERFECT):
+        "23e75c796d4a051bf77eda1095d9132d17705c6d5b2a3cc959ee7744bf67670a",
+    ("unencoded", Variant.NONE):
+        "9f699cebcea2802b670b5431929cf8f14ba75cddac37897628d39c22d9d7f8f0",
+}
+
+
+@pytest.mark.parametrize("name,variant", list(KERNEL_CIRCUIT_DIGESTS))
+def test_kernel_circuit_digests(name, variant):
+    """The compiled cycles the kernel runs, pinned for every circuit: a
+    change to how the frame engine compiles a cycle must leave its rows
+    as they are."""
+    packed = make_engine(circuit_for(name, variant), "frame").kernel_circuit()
+    assert _packed_digest(packed) == KERNEL_CIRCUIT_DIGESTS[name, variant]
 
 
 _BUILD = """
