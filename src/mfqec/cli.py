@@ -169,7 +169,9 @@ def _fmt(value) -> str:
 
 def load_run_config(config_path, overrides: dict) -> RunConfig:
     """Merge a JSON config file (optional) with flag overrides; overrides
-    win field by field.  Unknown file keys are configuration errors."""
+    win field by field.  Unknown file keys are configuration errors.
+    ``workers`` comes from the flag, else the file, else
+    ``$MFQEC_WORKERS``, else 1."""
     merged: dict = {}
     if config_path is not None:
         try:
@@ -187,6 +189,14 @@ def load_run_config(config_path, overrides: dict) -> RunConfig:
                 raise ConfigError(f"{key}: unknown configuration field")
         merged.update(raw)
     merged.update({k: v for k, v in overrides.items() if v is not None})
+    if "workers" not in merged and os.environ.get(WORKERS_ENV_VAR):
+        try:
+            merged["workers"] = int(os.environ[WORKERS_ENV_VAR])
+        except ValueError:
+            raise ConfigError(
+                f"workers: environment variable {WORKERS_ENV_VAR} must be "
+                f"an integer, got {os.environ[WORKERS_ENV_VAR]!r}"
+            )
     if "p_grid" in merged:
         try:
             merged["p_grid"] = tuple(float(p) for p in merged["p_grid"])
@@ -261,14 +271,6 @@ def run_command(args) -> int:
         "output_path": args.out,
         "engine": args.engine,
     }
-    if overrides["workers"] is None and os.environ.get(WORKERS_ENV_VAR):
-        try:
-            overrides["workers"] = int(os.environ[WORKERS_ENV_VAR])
-        except ValueError:
-            raise ConfigError(
-                f"workers: environment variable {WORKERS_ENV_VAR} must be "
-                f"an integer, got {os.environ[WORKERS_ENV_VAR]!r}"
-            )
     cfg = load_run_config(args.config, overrides)
 
     progress = (lambda msg: print(msg, file=sys.stderr, flush=True))
@@ -458,7 +460,8 @@ def build_parser() -> argparse.ArgumentParser:
     run.add_argument("--max-cycles", type=int, help="censoring horizon per trial")
     run.add_argument(
         "--workers", type=int,
-        help=f"parallel trial executors (default: ${WORKERS_ENV_VAR} or 1)",
+        help=(f"parallel trial executors (default: the config file's, else "
+              f"${WORKERS_ENV_VAR}, else 1)"),
     )
     run.add_argument(
         "--out", "--output-path", dest="out", help="output CSV path"

@@ -20,6 +20,7 @@ import enum
 import math
 from bisect import bisect_right
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -97,22 +98,17 @@ def event_pauli(event: ErrorEvent, n_total: int) -> PauliOperator:
 # aggregate samplers for the skip-ahead loop
 # ---------------------------------------------------------------------------
 
-_LOG_CLEAN: dict = {}  # log P(cycle has no error) per (p, n_sites)
-
-
+@lru_cache(maxsize=None)
 def clean_cycle_log_probability(p: float, n_sites: int) -> float:
     """log P(none of ``n_sites`` locations errs), n_sites·log1p(-p), kept
     per (p, n_sites).  A rejected pair is never stored, so it raises on
     every call."""
-    log_clean = _LOG_CLEAN.get((p, n_sites))
-    if log_clean is None:
-        _check_rate(p)
-        if n_sites < 1:
-            raise ValueError("need at least one error site")
-        log_clean = n_sites * math.log1p(-p)
-        if log_clean == 0.0:
-            raise DegenerateRate("cycles are certainly clean; run length diverges")
-        _LOG_CLEAN[p, n_sites] = log_clean
+    _check_rate(p)
+    if n_sites < 1:
+        raise ValueError("need at least one error site")
+    log_clean = n_sites * math.log1p(-p)
+    if log_clean == 0.0:
+        raise DegenerateRate("cycles are certainly clean; run length diverges")
     return log_clean
 
 
@@ -120,14 +116,9 @@ def sample_clean_run_length(p: float, n_sites: int, rng: np.random.Generator) ->
     """Number of consecutive cycles (possibly 0) in which none of the
     ``n_sites`` locations errs.  Exact geometric inverse-CDF sampling with
     success probability 1 - (1-p)**n_sites, done in log space."""
-    log_clean = _LOG_CLEAN.get((p, n_sites))
-    if log_clean is None:
-        log_clean = clean_cycle_log_probability(p, n_sites)
+    log_clean = clean_cycle_log_probability(p, n_sites)
     r = rng.random()
     return int(math.floor(math.log1p(-r) / log_clean))
-
-
-_COUNT_LISTS: dict = {}  # list copies of the tables, for bisect
 
 
 def _count_table(p: float, n_sites: int) -> np.ndarray:
@@ -147,16 +138,15 @@ def _count_table(p: float, n_sites: int) -> np.ndarray:
     return table
 
 
+@lru_cache(maxsize=None)
 def error_count_cdf(p: float, n_sites: int) -> list:
-    """``_count_table(p, n_sites)`` as a list, kept per (p, n_sites).  A
-    rejected pair is never stored, so it raises on every call."""
-    table = _COUNT_LISTS.get((p, n_sites))
-    if table is None:
-        _check_rate(p)
-        if n_sites < 1:
-            raise ValueError("need at least one error site")
-        table = _COUNT_LISTS[p, n_sites] = _count_table(p, n_sites).tolist()
-    return table
+    """``_count_table(p, n_sites)`` as a list, for bisect, kept per (p,
+    n_sites).  A rejected pair is never stored, so it raises on every
+    call."""
+    _check_rate(p)
+    if n_sites < 1:
+        raise ValueError("need at least one error site")
+    return _count_table(p, n_sites).tolist()
 
 
 def sample_error_count_given_any(
@@ -164,8 +154,6 @@ def sample_error_count_given_any(
 ) -> int:
     """Draw how many of ``n_sites`` locations err in a cycle known to have
     at least one error."""
-    table = _COUNT_LISTS.get((p, n_sites))
-    if table is None:
-        table = error_count_cdf(p, n_sites)
+    table = error_count_cdf(p, n_sites)
     # the same comparisons as np.searchsorted(..., side="right")
     return bisect_right(table, rng.random()) + 1

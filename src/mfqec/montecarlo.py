@@ -63,6 +63,10 @@ threshold's (``resample_means`` says when): from the caller's PCG64 state
 it makes numpy's ``integers`` draws and sums each resample exactly, so
 every CI is the numpy loop's, bit for bit.  So a tableau-only run builds
 the kernel too, on its first bootstrap.
+
+An estimate is a point of the p_log(p) curve: ``estimate_logical_error_rate``
+returns a ``SweepPoint``, which a sweep (``mfqec.threshold``) records as
+it is.
 """
 from __future__ import annotations
 
@@ -647,15 +651,40 @@ def run_trial(cfg: TrialConfig, engine, method: str = "skip") -> TrialResult:
 # ---------------------------------------------------------------------------
 
 @dataclass(frozen=True)
-class RateEstimate:
+class SweepPoint:
+    """One point of a p_log(p) curve: the rate estimate at physical error
+    rate ``p``, as ``estimate_logical_error_rate`` returns it and a sweep
+    records it.
+
+    ``p_log`` (and the CI bounds and ``mean_cycles``) are NaN when every
+    trial at this point was censored: the point then carries no rate
+    information but keeps its place in the grid.  ``failure_cycles``
+    holds the raw uncensored cycles-to-failure, in trial order, so the
+    threshold bootstrap can resample them; it may be empty for points
+    reloaded from a CSV, in which case the bootstrap holds the point fixed
+    at its ``p_log``.
+    """
+
+    p: float
     p_log: float
     ci_low: float
     ci_high: float
-    mean_cycles: float
     n_trials: int
-    n_failures: int
     n_censored: int
-    failure_cycles: tuple  # cycles_to_failure of uncensored trials, trial order
+    n_failures: int
+    mean_cycles: float
+    failure_cycles: tuple = ()
+
+    def __post_init__(self) -> None:
+        if not (0.0 < self.p < 1.0):
+            raise ValueError(f"p must be in (0, 1), got {self.p}")
+        if math.isfinite(self.p_log) and not (
+            self.ci_low <= self.p_log <= self.ci_high
+        ):
+            raise ValueError(
+                f"CI [{self.ci_low}, {self.ci_high}] does not contain "
+                f"p_log={self.p_log}"
+            )
 
 
 def trial_seed(master_seed: int, point_index: int, trial_index: int) -> int:
@@ -700,15 +729,14 @@ def resample_means(rng, sets, n_resamples: int) -> np.ndarray:
     return means
 
 
-def _bootstrap_ci(samples: np.ndarray, rng, n_bootstrap: int = 1000):
-    means = resample_means(rng, [samples], n_bootstrap)[:, 0]
-    lo_mean, hi_mean = np.percentile(means, [2.5, 97.5])
-    return float(1.0 / hi_mean), float(1.0 / lo_mean)
+BOOTSTRAP_RESAMPLES = 1000  # bootstrap means behind a point's CI
 
 
-def aggregate_rate_estimate(
-    failure_cycles, n_censored: int, rng, n_bootstrap: int = 1000
-) -> RateEstimate:
+def aggregate_rate_estimate(p, failure_cycles, n_censored: int, rng) -> SweepPoint:
+    """The point at ``p`` from the cycles to failure of its uncensored
+    trials and its count of censored ones: p_log = 1/mean, with the 95%
+    percentile CI of ``BOOTSTRAP_RESAMPLES`` bootstrap means drawn from
+    ``rng``.  Raises AllCensored when no trial failed."""
     samples = np.asarray(failure_cycles, dtype=np.float64)
     n_trials = samples.size + n_censored
     if samples.size == 0:
@@ -717,15 +745,18 @@ def aggregate_rate_estimate(
     if samples.size == 1 or np.all(samples == samples[0]):
         ci = (1.0 / mean, 1.0 / mean)
     else:
-        ci = _bootstrap_ci(samples, rng, n_bootstrap)
-    return RateEstimate(
+        means = resample_means(rng, [samples], BOOTSTRAP_RESAMPLES)[:, 0]
+        lo_mean, hi_mean = np.percentile(means, [2.5, 97.5])
+        ci = (float(1.0 / hi_mean), float(1.0 / lo_mean))
+    return SweepPoint(
+        p=p,
         p_log=1.0 / mean,
         ci_low=ci[0],
         ci_high=ci[1],
-        mean_cycles=mean,
         n_trials=n_trials,
-        n_failures=samples.size,
         n_censored=n_censored,
+        n_failures=samples.size,
+        mean_cycles=mean,
         failure_cycles=tuple(int(c) for c in failure_cycles),
     )
 
@@ -807,12 +838,12 @@ def estimate_logical_error_rate(
     max_cycles: int = 10_000_000,
     point_index: int = 0,
     workers: int = 1,
-    engine: str = "tableau",
-    n_bootstrap: int = 1000,
+    engine: str = "frame",
     progress=None,
-) -> RateEstimate:
-    """n_trials independent seeded trials; p_log = 1/mean cycles-to-failure
-    over uncensored trials with a bootstrap CI.  Results are identical for
+) -> SweepPoint:
+    """The point at ``p`` from n_trials independent seeded trials; p_log =
+    1/mean cycles-to-failure over uncensored trials with a bootstrap CI
+    (``aggregate_rate_estimate``).  Results are identical for
     any worker count because each trial's seed depends only on
     (master_seed, point_index, trial index) and the slices are joined in
     trial order.
@@ -862,8 +893,8 @@ def estimate_logical_error_rate(
     boot_rng = np.random.default_rng(
         np.random.SeedSequence([master_seed, point_index])
     )
-    return aggregate_rate_estimate(failure_cycles, n_trials - len(failure_cycles),
-                                   boot_rng, n_bootstrap)
+    return aggregate_rate_estimate(p, failure_cycles,
+                                   n_trials - len(failure_cycles), boot_rng)
 
 
 # ---------------------------------------------------------------------------

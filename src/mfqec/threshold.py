@@ -8,19 +8,24 @@ errors, above it encoding makes things worse.  The crossing is located
 by log-log linear interpolation between the bracketing grid points, and
 its uncertainty is estimated by bootstrap-resampling each point's
 failure times and re-locating the crossing.
+
+A sweep point is the rate estimate itself: ``sweep_point`` returns the
+``SweepPoint`` that ``estimate_logical_error_rate`` gives, and builds one
+only for a point whose every trial was censored.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Iterator, Optional, Sequence
 
 import numpy as np
 
 from .codes import CodeSpec
 from .circuits import Variant
-from .montecarlo import AllCensored, estimate_logical_error_rate, resample_means
+from .montecarlo import (AllCensored, SweepPoint, estimate_logical_error_rate,
+                         resample_means)
 
 __all__ = [
     "SweepPoint",
@@ -34,44 +39,6 @@ __all__ = [
 
 class NoCrossing(RuntimeError):
     """The p_log(p) curve never crosses the identity line on this grid."""
-
-
-@dataclass(frozen=True)
-class SweepPoint:
-    """One grid point of a p_log(p) curve.
-
-    ``p_log`` (and the CI bounds and ``mean_cycles``) are NaN when every
-    trial at this point was censored: the point then carries no rate
-    information but keeps its place in the grid.  ``failure_cycles``
-    holds the raw uncensored cycles-to-failure so the threshold bootstrap
-    can resample them; it may be empty for points reloaded from a CSV, in
-    which case the bootstrap holds the point fixed at its ``p_log``.
-    """
-
-    p: float
-    p_log: float
-    ci_low: float
-    ci_high: float
-    n_trials: int
-    n_censored: int
-    n_failures: int
-    mean_cycles: float
-    failure_cycles: tuple = field(default=(), repr=False)
-
-    def __post_init__(self) -> None:
-        if not (0.0 < self.p < 1.0):
-            raise ValueError(f"p must be in (0, 1), got {self.p}")
-        if math.isfinite(self.p_log) and not (
-            self.ci_low <= self.p_log <= self.ci_high
-        ):
-            raise ValueError(
-                f"CI [{self.ci_low}, {self.ci_high}] does not contain "
-                f"p_log={self.p_log}"
-            )
-
-    @property
-    def all_censored(self) -> bool:
-        return self.n_failures == 0
 
 
 @dataclass(frozen=True)
@@ -104,7 +71,7 @@ def iter_sweep(
     *,
     max_cycles: int = 10_000_000,
     workers: int = 1,
-    engine: str = "tableau",
+    engine: str = "frame",
     progress: Optional[Callable[[str], None]] = None,
 ) -> Iterator[SweepPoint]:
     """One SweepPoint per grid value, yielded as soon as it is finished,
@@ -151,18 +118,19 @@ def sweep_point(
     *,
     max_cycles: int = 10_000_000,
     workers: int = 1,
-    engine: str = "tableau",
+    engine: str = "frame",
     progress: Optional[Callable[[str], None]] = None,
 ) -> SweepPoint:
-    """One grid point, seeded by (master_seed, index) exactly as
-    iter_sweep seeds the point at that grid position."""
+    """The estimate at one grid point, seeded by (master_seed, index)
+    exactly as iter_sweep seeds the point at that grid position, or a
+    NaN point when every trial was censored."""
     trial_progress = None
     if progress is not None:
         trial_progress = lambda done, total: progress(  # noqa: E731
             f"  {done}/{total} trials"
         )
     try:
-        est = estimate_logical_error_rate(
+        return estimate_logical_error_rate(
             code,
             variant,
             p,
@@ -185,17 +153,6 @@ def sweep_point(
             n_failures=0,
             mean_cycles=math.nan,
         )
-    return SweepPoint(
-        p=p,
-        p_log=est.p_log,
-        ci_low=est.ci_low,
-        ci_high=est.ci_high,
-        n_trials=est.n_trials,
-        n_censored=est.n_censored,
-        n_failures=est.n_failures,
-        mean_cycles=est.mean_cycles,
-        failure_cycles=est.failure_cycles,
-    )
 
 
 def _crossing_from_curve(ps: np.ndarray, p_logs: np.ndarray):

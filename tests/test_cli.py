@@ -231,6 +231,20 @@ def test_run_worker_count_is_invisible_in_output(tmp_path, capsys, monkeypatch):
     assert flag_wins.read_bytes() == blob
 
 
+def test_run_config_file_workers_beat_the_environment(tmp_path, capsys, monkeypatch):
+    config = tmp_path / "cfg.json"
+    config.write_text(json.dumps({"workers": 1}))
+    monkeypatch.setenv(cli.WORKERS_ENV_VAR, "lots")
+    rc, _ = _run(tmp_path, "--config", str(config))
+    capsys.readouterr()
+    assert rc == int(ExitStatus.OK)
+    monkeypatch.setenv(cli.WORKERS_ENV_VAR, "2")
+    flags = dict(code="bf", variant="simplified", p_grid=[0.01], trials=5,
+                 master_seed=1)
+    assert load_run_config(str(config), flags).workers == 1
+    assert load_run_config(None, flags).workers == 2
+
+
 def test_run_bad_workers_env(tmp_path, capsys, monkeypatch):
     monkeypatch.setenv(cli.WORKERS_ENV_VAR, "lots")
     rc, _ = _run(tmp_path)

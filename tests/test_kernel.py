@@ -168,7 +168,7 @@ def test_kernel_matches_run_trial_at_a_small_cycle_cap(name, variant, p, monkeyp
 
 
 def test_estimate_in_the_kernel_matches_the_python_loop(monkeypatch):
-    """An estimate gives the same ``RateEstimate`` and the same progress
+    """An estimate gives the same ``SweepPoint`` and the same progress
     calls with the kernel, on one or two workers, as with every trial run
     by ``run_trial``: the kernel runs its blocks in slices of the progress
     tick.  45 trials do not split evenly into ticks or pool chunks."""
@@ -457,7 +457,7 @@ THRESHOLD_GRID = [0.008, 0.016, 0.032]
 def test_estimate_without_a_compiler_runs_in_python(tmp_path):
     """With no ``gcc`` on PATH and no library built, an estimate warns once,
     runs its trials and both bootstraps in Python, and gives the very
-    ``RateEstimate``, sweep points and ``ThresholdEstimate`` the kernel
+    estimate, sweep points and ``ThresholdEstimate`` the kernel
     gives."""
     kernel_library()
     env = dict(os.environ, PYTHONPATH=SRC, PATH=str(tmp_path))

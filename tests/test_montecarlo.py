@@ -28,7 +28,6 @@ from mfqec.montecarlo import (
     AllCensored,
     Classification,
     FaultOutcome,
-    RateEstimate,
     TrialConfig,
     TrialResult,
     _FrameEngine,
@@ -754,7 +753,7 @@ def test_skip_and_full_methods_agree_in_distribution():
 
 def test_aggregate_basics():
     rng = np.random.default_rng(0)
-    est = aggregate_rate_estimate([10, 20, 30, 40], 2, rng)
+    est = aggregate_rate_estimate(0.01, [10, 20, 30, 40], 2, rng)
     assert est.mean_cycles == 25.0
     assert est.p_log == 1.0 / 25.0
     assert est.n_trials == 6
@@ -767,20 +766,22 @@ def test_aggregate_basics():
 
 def test_aggregate_degenerate_ci():
     rng = np.random.default_rng(0)
-    est = aggregate_rate_estimate([17], 0, rng)
+    est = aggregate_rate_estimate(0.01, [17], 0, rng)
     assert est.ci_low == est.ci_high == est.p_log == 1.0 / 17.0
-    est = aggregate_rate_estimate([8, 8, 8], 1, rng)
+    est = aggregate_rate_estimate(0.01, [8, 8, 8], 1, rng)
     assert est.ci_low == est.ci_high == est.p_log == 1.0 / 8.0
 
 
 def test_aggregate_all_censored():
     with pytest.raises(AllCensored):
-        aggregate_rate_estimate([], 5, np.random.default_rng(0))
+        aggregate_rate_estimate(0.01, [], 5, np.random.default_rng(0))
 
 
 def test_aggregate_bootstrap_is_seeded():
-    a = aggregate_rate_estimate(list(range(10, 60)), 0, np.random.default_rng(4))
-    b = aggregate_rate_estimate(list(range(10, 60)), 0, np.random.default_rng(4))
+    a = aggregate_rate_estimate(0.01, list(range(10, 60)), 0,
+                                np.random.default_rng(4))
+    b = aggregate_rate_estimate(0.01, list(range(10, 60)), 0,
+                                np.random.default_rng(4))
     assert a == b
 
 

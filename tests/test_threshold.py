@@ -6,11 +6,14 @@ linear in log p, so log-log interpolation recovers p0 exactly, on any
 grid that brackets it.
 """
 
+import dataclasses
+import inspect
 import math
 
 import numpy as np
 import pytest
 
+from mfqec import montecarlo, threshold
 from mfqec.circuits import Variant
 from mfqec.codes import BIT_FLIP_CODE
 from mfqec.threshold import (
@@ -61,8 +64,49 @@ def test_sweep_point_validation():
         p=0.1, p_log=math.nan, ci_low=math.nan, ci_high=math.nan,
         n_trials=5, n_censored=5, n_failures=0, mean_cycles=math.nan,
     )
-    assert nan_point.all_censored
-    assert not _point(0.1, 0.05).all_censored
+    assert nan_point.n_failures == 0
+    assert _point(0.1, 0.05).n_failures != 0
+
+
+def test_an_estimate_is_the_sweep_point():
+    est = montecarlo.estimate_logical_error_rate(
+        BIT_FLIP_CODE, Variant.SIMPLIFIED, 0.05, 40, 3,
+        max_cycles=100_000, point_index=1,
+    )
+    assert type(est) is threshold.SweepPoint
+    assert threshold.SweepPoint is montecarlo.SweepPoint
+    assert est.p == 0.05
+    assert est.n_failures == len(est.failure_cycles) > 0
+    pt = sweep_point(BIT_FLIP_CODE, Variant.SIMPLIFIED, 0.05, 40, 3, 1,
+                     max_cycles=100_000)
+    assert pt == est
+    assert repr(pt) == repr(est)
+
+
+def test_failure_cycles_take_part_in_eq_and_repr():
+    a = _point(0.01, 0.02, failure_cycles=(40, 60))
+    b = dataclasses.replace(a, failure_cycles=(30, 70))
+    assert a != b
+    assert repr(a) != repr(b)
+    assert "failure_cycles=(40, 60)" in repr(a)
+
+
+def test_keyword_construction_without_failure_cycles():
+    # how the benchmark builds points from pooled reference means
+    pt = SweepPoint(p=0.01, p_log=0.02, ci_low=0.02, ci_high=0.02,
+                    n_trials=10, n_censored=0, n_failures=10, mean_cycles=50.0)
+    assert pt.failure_cycles == ()
+    assert [f.name for f in dataclasses.fields(SweepPoint)] == [
+        "p", "p_log", "ci_low", "ci_high", "n_trials", "n_censored",
+        "n_failures", "mean_cycles", "failure_cycles",
+    ]
+
+
+@pytest.mark.parametrize(
+    "fn", [montecarlo.estimate_logical_error_rate, iter_sweep, sweep_point]
+)
+def test_estimates_and_sweeps_default_to_the_frame_engine(fn):
+    assert inspect.signature(fn).parameters["engine"].default == "frame"
 
 
 def test_threshold_estimate_validation():
@@ -244,7 +288,7 @@ def test_sweep_point_all_censored_is_nan():
         BIT_FLIP_CODE, Variant.SIMPLIFIED, 1e-7, 5, 3, 0,
         max_cycles=5, engine="frame",
     )
-    assert pt.all_censored
+    assert pt.n_failures == 0
     assert pt.n_trials == pt.n_censored == 5
     assert math.isnan(pt.p_log) and math.isnan(pt.mean_cycles)
     assert pt.failure_cycles == ()
