@@ -18,7 +18,11 @@ circuit's frame engine after the rounds: ``memo.fault_entries`` single
 faults stored out of ``memo.fault_slots`` possible, and
 ``memo.orbit_entries`` noiseless orbit cycles.  They are read from this
 process's engine; ``bf-sweep`` runs its trials in pool workers, each with
-an engine of its own, so its entries read 0 here.
+an engine of its own, so its entries read 0 here.  Beside them are the
+sizes of the C kernel's tables, read from ``engine.kernel_circuit()``,
+which fills them whole whatever the rounds ran: ``tables.fresh_rows``, one
+per single fault, and ``tables.orbit_entries``, the orbit cycles of all of
+them (0 where the kernel cannot be built).
 """
 from __future__ import annotations
 
@@ -70,9 +74,12 @@ def main(argv=None) -> int:
     spec = run.WORKLOADS[args.workload]
     engine = make_engine(circuit_for(spec["code"], Variant(spec["variant"])), "frame")
     memo = {f"memo.{k}": v for k, v in engine.memo_sizes().items()}
+    packed = engine.kernel_circuit()
+    tables = {"tables.fresh_rows": sum(cyc.n_fresh for cyc in packed.cycle),
+              "tables.orbit_entries": sum(cyc.n_idle for cyc in packed.cycle)}
     print(json.dumps({"workload": args.workload, "seed": args.seed,
                       "rounds": args.rounds, "trials_per_point": trials,
-                      **memo, "metrics": tracer.metrics()}))
+                      **memo, **tables, "metrics": tracer.metrics()}))
     return 0
 
 

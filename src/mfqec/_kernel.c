@@ -7,6 +7,17 @@
  * SeedSequence hash and PCG64 seeding reproduced word for word, and a call
  * runs a whole block of trials.  Python computes every constant that needs
  * exp or lgamma (montecarlo._kernel_trials); this file only calls log1p.
+ *
+ * Each compiled cycle carries two read-only tables, filled once by
+ * mfqec_fill_tables when the circuit is packed: the result of every single
+ * fault on the clean frame (fresh rows), and of every zero-event cycle on
+ * the noiseless orbits those faults start (an open-addressed idle table).
+ * A cycle with one event on the clean frame makes its Pauli draw and reads
+ * its fresh row; a zero-event cycle reads its idle row when the frame is
+ * there.  Neither skips or adds a draw, so the stream is unchanged; every
+ * other cycle runs its ops.  _FrameEngine's memo, saturated, is the
+ * tables' oracle.
+ *
  * It also resamples montecarlo.resample_means's bootstraps: from a PCG64
  * state handed over by Python, buffered half-word included, it makes the
  * integers() draws numpy would and sums each resample exactly.
@@ -212,18 +223,31 @@ static int64_t binomial(pcg64_t *rng, int64_t n, const rate_t *r)
     return r->bin_reflect ? n - x : x;
 }
 
-/* One cycle (a or b) compiled for the frame, as _FrameEngine._compile. */
+/* One cycle (a or b) compiled for the frame, as _FrameEngine._compile, and
+ * its tables (mfqec_fill_tables). */
 enum { OP_H, OP_CNOT, OP_TOFX, OP_TOFZ, OP_RESET };
 enum { CH_MEMORY, CH_TWO_QUBIT, CH_THREE_QUBIT, CH_INIT };
+
+/* Non-identity Paulis of each channel's sites, as ErrorSite.n_paulis; an
+ * init site has one, X. */
+static const uint64_t CHANNEL_PAULIS[] = {3, 15, 63, 1};
 
 typedef struct {
     int64_t n_ops;
     const uint64_t *ops;   /* n_ops rows (opcode, mask, mask, mask) */
     const uint64_t *sites; /* N rows (ops before its event, channel, 3 qubit masks) */
+    int64_t n_fresh;       /* the sites' Pauli counts summed */
+    uint64_t *fresh;       /* n_fresh rows (fx', fz', class) */
+    int64_t *fresh_base;   /* N entries: the fresh row of each site's Pauli 1 */
+    int64_t idle_mask;     /* idle slots less one, the slots a power of two */
+    uint64_t *idle;        /* rows (fx, fz, fx', fz', class); fx = fz = 0 is empty */
+    int64_t n_idle;        /* idle rows in use */
 } cycle_t;
 
 #define OP_ROW 4
 #define SITE_ROW 5
+#define FRESH_ROW 3
+#define IDLE_ROW 5
 
 typedef struct {
     cycle_t cycle[2];      /* a, b */
@@ -297,6 +321,59 @@ static inline void apply_letter(unsigned letter, uint64_t mask,
         *fz ^= mask;
 }
 
+/* A site's Pauli as errors.draw_event_paulis draws it: the base-4 index of
+ * its letters, first qubit most significant, 1 to CHANNEL_PAULIS[channel].
+ * integers(1) draws nothing, so an init site's X takes no draw. */
+static inline unsigned draw_pauli(pcg64_t *rng, const uint64_t *site)
+{
+    return 1 + bounded(rng, CHANNEL_PAULIS[site[1]]);
+}
+
+/* The Pauli of base-4 index idx onto the frame bits of a site's qubits. */
+static inline void apply_pauli(const uint64_t *site, unsigned idx,
+                               uint64_t *fx, uint64_t *fz)
+{
+    switch (site[1]) {
+    case CH_TWO_QUBIT:
+        apply_letter(idx >> 2, site[2], fx, fz);
+        apply_letter(idx & 3, site[3], fx, fz);
+        break;
+    case CH_THREE_QUBIT:
+        apply_letter(idx >> 4, site[2], fx, fz);
+        apply_letter((idx >> 2) & 3, site[3], fx, fz);
+        apply_letter(idx & 3, site[4], fx, fz);
+        break;
+    default: /* CH_MEMORY, CH_INIT: one qubit */
+        apply_letter(idx, site[2], fx, fz);
+    }
+}
+
+/* Cycle cy's ops from op `done` on, then the frame's class; a clean frame
+ * is the same quantum state as the zero frame, so it becomes zero. */
+static int finish_cycle(const circuit_t *c, const cycle_t *cy, int64_t done,
+                        uint64_t *fx, uint64_t *fz)
+{
+    exec_ops(cy->ops + OP_ROW * done, cy->ops + OP_ROW * cy->n_ops, fx, fz);
+    int cls = classify(c, *fx, *fz);
+    if (cls == CLEAN_ZERO)
+        *fx = *fz = 0;
+    return cls;
+}
+
+/* The idle row of frame (fx, fz), or the empty row where it would go:
+ * linear probing from a multiplicative hash.  A residual frame is never
+ * zero, so (0, 0) marks an empty row; the zero frame finds an empty row. */
+static inline uint64_t *idle_row(const cycle_t *cy, uint64_t fx, uint64_t fz)
+{
+    uint64_t h = (fx ^ fz * 0x9E3779B97F4A7C15ULL) * 0xBF58476D1CE4E5B9ULL;
+    uint64_t i = h >> 32, mask = (uint64_t)cy->idle_mask;
+    for (;; i++) {
+        uint64_t *row = cy->idle + IDLE_ROW * (i & mask);
+        if (!(row[0] | row[1]) || (row[0] == fx && row[1] == fz))
+            return row;
+    }
+}
+
 /* Draw k distinct sites of n, ascending, as montecarlo._choose_sites:
  * Floyd's algorithm, then the k-1 draws numpy's choice spends on its
  * shuffle.  `mark` is n zero bytes and is left zero. */
@@ -323,43 +400,36 @@ static void choose_sites(pcg64_t *rng, int64_t n, int64_t k, int64_t *out,
 }
 
 /* One cycle from frame (fx, fz) with k errors, their Paulis drawn in site
- * order as montecarlo._draw_cycle_events draws them. */
+ * order as montecarlo._draw_cycle_events draws them.  One error on the
+ * clean frame reads its fresh row after its draw, and no error reads the
+ * frame's idle row when it has one. */
 static int run_cycle(const circuit_t *c, const cycle_t *cy, pcg64_t *rng,
                      const int64_t *chosen, int64_t k,
                      uint64_t *fx, uint64_t *fz)
 {
-    const uint64_t *ops = cy->ops;
-    int64_t done = 0;
-    for (int64_t e = 0; e < k; e++) {
-        const uint64_t *site = cy->sites + SITE_ROW * chosen[e];
-        int64_t upto = (int64_t)site[0];
-        exec_ops(ops + OP_ROW * done, ops + OP_ROW * upto, fx, fz);
-        done = upto;
-        unsigned idx;
-        switch (site[1]) {
-        case CH_MEMORY:
-            apply_letter(1 + bounded(rng, 3), site[2], fx, fz);
-            break;
-        case CH_TWO_QUBIT:
-            idx = 1 + bounded(rng, 15);
-            apply_letter(idx >> 2, site[2], fx, fz);
-            apply_letter(idx & 3, site[3], fx, fz);
-            break;
-        case CH_THREE_QUBIT:
-            idx = 1 + bounded(rng, 63);
-            apply_letter(idx >> 4, site[2], fx, fz);
-            apply_letter((idx >> 2) & 3, site[3], fx, fz);
-            apply_letter(idx & 3, site[4], fx, fz);
-            break;
-        default: /* CH_INIT: X, no draw */
-            apply_letter(1, site[2], fx, fz);
+    const uint64_t *row;
+    if (k == 0) {
+        row = idle_row(cy, *fx, *fz);
+        if (!(row[0] | row[1]))
+            return finish_cycle(c, cy, 0, fx, fz);
+        row += 2; /* past the key: (fx', fz', class), as a fresh row */
+    } else if (k == 1 && !(*fx | *fz)) {
+        unsigned idx = draw_pauli(rng, cy->sites + SITE_ROW * chosen[0]);
+        row = cy->fresh + FRESH_ROW * (cy->fresh_base[chosen[0]] + idx - 1);
+    } else {
+        int64_t done = 0;
+        for (int64_t e = 0; e < k; e++) {
+            const uint64_t *site = cy->sites + SITE_ROW * chosen[e];
+            int64_t upto = (int64_t)site[0];
+            exec_ops(cy->ops + OP_ROW * done, cy->ops + OP_ROW * upto, fx, fz);
+            done = upto;
+            apply_pauli(site, draw_pauli(rng, site), fx, fz);
         }
+        return finish_cycle(c, cy, done, fx, fz);
     }
-    exec_ops(ops + OP_ROW * done, ops + OP_ROW * cy->n_ops, fx, fz);
-    int cls = classify(c, *fx, *fz);
-    if (cls == CLEAN_ZERO)
-        *fx = *fz = 0; /* same quantum state; canonicalize the frame */
-    return cls;
+    *fx = row[0];
+    *fz = row[1];
+    return (int)row[2];
 }
 
 /* One trial from `rng`.  Returns the cycle of the logical flip (>= 1), or 0
@@ -424,6 +494,63 @@ void mfqec_skip_block(const circuit_t *c, const rate_t *r, int64_t max_cycles,
         trial_rng(&rng, entropy, n_prefix, indices[i]);
         out[i] = skip_trial(c, r, max_cycles, &rng);
     }
+}
+
+/* Fill both cycles' tables.  Python allocates them: cycle s's fresh rows
+ * (n_fresh of them), its fresh_base and idle_mask + 1 idle rows.  For every
+ * single fault (site, Pauli) of a cycle, its fresh row is the cycle from the
+ * clean frame with that event.  While the result is residual, the noiseless
+ * orbit after it is walked as _FrameEngine._store_orbit walks it: the other
+ * cycle, then the first, and so on, each zero-event cycle an idle row,
+ * until the frame is clean or flipped or its (cycle, frame) row is already
+ * there, whose orbit then is too.  Returns 0; -1 when a cycle's sites'
+ * Pauli counts do not sum to its n_fresh; or 1 + s when cycle s's idle rows
+ * would pass half its slots, and the caller doubles them and calls again. */
+int64_t mfqec_fill_tables(circuit_t *c)
+{
+    for (int s = 0; s < 2; s++) {
+        cycle_t *cy = &c->cycle[s];
+        int64_t rows = 0;
+        for (int64_t i = 0; i < c->n_sites; i++) {
+            cy->fresh_base[i] = rows;
+            rows += (int64_t)CHANNEL_PAULIS[cy->sites[SITE_ROW * i + 1]];
+        }
+        if (rows != cy->n_fresh)
+            return -1;
+        memset(cy->idle, 0, sizeof(uint64_t) * IDLE_ROW * (size_t)(cy->idle_mask + 1));
+        cy->n_idle = 0;
+    }
+    for (int s = 0; s < 2; s++) {
+        const cycle_t *cy = &c->cycle[s];
+        for (int64_t i = 0; i < c->n_sites; i++) {
+            const uint64_t *site = cy->sites + SITE_ROW * i;
+            for (unsigned idx = 1; idx <= CHANNEL_PAULIS[site[1]]; idx++) {
+                uint64_t fx = 0, fz = 0;
+                apply_pauli(site, idx, &fx, &fz);
+                int cls = finish_cycle(c, cy, (int64_t)site[0], &fx, &fz);
+                uint64_t *row = cy->fresh + FRESH_ROW * (cy->fresh_base[i] + idx - 1);
+                row[0] = fx;
+                row[1] = fz;
+                row[2] = (uint64_t)cls;
+                for (int at = s; cls == RESIDUAL;) {
+                    cycle_t *next = &c->cycle[at ^= 1];
+                    row = idle_row(next, fx, fz);
+                    if (row[0] | row[1])
+                        break;
+                    if (2 * (next->n_idle + 1) > next->idle_mask + 1)
+                        return 1 + at;
+                    next->n_idle++;
+                    row[0] = fx;
+                    row[1] = fz;
+                    cls = finish_cycle(c, next, 0, &fx, &fz);
+                    row[2] = fx;
+                    row[3] = fz;
+                    row[4] = (uint64_t)cls;
+                }
+            }
+        }
+    }
+    return 0;
 }
 
 static void state_words(const pcg64_t *rng, uint64_t *out)

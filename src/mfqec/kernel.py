@@ -6,7 +6,12 @@ resamples bootstraps on a ``PCG64`` generator's own stream
 (``resample_sums``; ``montecarlo.resample_means`` decides when).
 Each trial's generator is ``PCG64(trial_seed(master, point, trial))``,
 made in C by numpy's own ``SeedSequence`` hash and PCG64 seeding, from the
-``seed_words`` of master and point.  It is built on first
+``seed_words`` of master and point.  A circuit is packed once
+(``pack_circuit``) and given its tables (``fill_tables``): arrays that
+Python allocates and C fills with the result of every single fault on the
+clean frame and of every zero-event cycle on those faults' noiseless
+orbits, which the trials read in place of running those cycles' ops.  The
+library is built on first
 use with ``gcc -O2 -shared -fPIC -ffp-contract=off``: no fast-math, no
 ``-march=native`` and no contraction into FMA, so that every double is
 rounded as Python rounds it and the trial consumes the RNG stream exactly
@@ -40,11 +45,17 @@ _MASK64 = (1 << 64) - 1
 
 
 class Cycle(ctypes.Structure):
-    """``cycle_t``: one compiled cycle.  ``ops`` rows are (opcode, mask,
-    mask, mask); ``sites`` rows are (ops before the site's event, channel,
-    three qubit masks)."""
+    """``cycle_t``: one compiled cycle and its tables.  ``ops`` rows are
+    (opcode, mask, mask, mask); ``sites`` rows are (ops before the site's
+    event, channel, three qubit masks).  ``fill_tables`` makes the rest:
+    ``fresh`` rows (fx', fz', class), one per single fault on the clean
+    frame, from row ``fresh_base[site]`` for the site's Pauli index 1 on;
+    ``idle_mask + 1`` open-addressed ``idle`` rows (fx, fz, fx', fz',
+    class), ``n_idle`` of them in use, the rest zero."""
     _fields_ = [("n_ops", _i64), ("ops", ctypes.POINTER(_u64)),
-                ("sites", ctypes.POINTER(_u64))]
+                ("sites", ctypes.POINTER(_u64)), ("n_fresh", _i64),
+                ("fresh", ctypes.POINTER(_u64)), ("fresh_base", ctypes.POINTER(_i64)),
+                ("idle_mask", _i64), ("idle", ctypes.POINTER(_u64)), ("n_idle", _i64)]
 
 
 class Circuit(ctypes.Structure):
@@ -80,6 +91,34 @@ def pack_circuit(cycles, n_sites: int, gens, zl_mask: int, nondata_mask: int) ->
         keep += [ops_arr, sites_arr]
     packed._keep = keep
     return packed
+
+
+FRESH_ROW, IDLE_ROW = 3, 5  # words per fresh row and per idle row
+_IDLE_SLOTS = 64  # the idle rows a table starts from, doubled while they overflow
+
+
+def fill_tables(lib, packed: Circuit, fresh_rows) -> None:
+    """Allocate and fill (``mfqec_fill_tables``) the tables of both cycles
+    of ``packed``, which has ``fresh_rows[s]`` single faults in cycle s.
+    An idle table that would pass half full is doubled and the fill run
+    again; ``packed`` keeps the final arrays alive."""
+    keep = packed._tables = {}
+
+    def give_idle(s, slots):
+        cyc = packed.cycle[s]
+        keep[s, "idle"] = cyc.idle = (_u64 * (IDLE_ROW * slots))()
+        cyc.idle_mask = slots - 1
+
+    for s, rows in enumerate(fresh_rows):
+        cyc = packed.cycle[s]
+        cyc.n_fresh = rows
+        keep[s, "fresh"] = cyc.fresh = (_u64 * (FRESH_ROW * rows))()
+        keep[s, "base"] = cyc.fresh_base = (_i64 * packed.n_sites)()
+        give_idle(s, _IDLE_SLOTS)
+    while (status := lib.mfqec_fill_tables(packed)) > 0:
+        give_idle(status - 1, 2 * (packed.cycle[status - 1].idle_mask + 1))
+    if status < 0:
+        raise ValueError(f"fresh rows {list(fresh_rows)} do not match the sites' Paulis")
 
 
 def pack_rate(log_clean: float, count_cdf, p: float, q: float, qn: float,
@@ -183,6 +222,7 @@ def load(directory):
         ("mfqec_skip_block", [ctypes.POINTER(Circuit), ctypes.POINTER(Rate), _i64,
                               u32p, _i64, u64p, _i64, ctypes.POINTER(_i64)]),
         ("mfqec_resample_sums", [u64a, i64a, i64a, _i64, _i64, i64a]),
+        ("mfqec_fill_tables", [ctypes.POINTER(Circuit)]),
         ("mfqec_draws", [_u64, _u64, _u64, _u64, ctypes.POINTER(Rate), _i64,
                          ctypes.POINTER(_i64), _i64, ctypes.POINTER(_f64)]),
         ("mfqec_seed_state", [u32p, _i64, _i64, u32p]),
@@ -192,6 +232,7 @@ def load(directory):
         func = getattr(lib, name)
         func.argtypes = argtypes
         func.restype = None
+    lib.mfqec_fill_tables.restype = _i64
     return lib
 
 

@@ -28,7 +28,9 @@ Two interchangeable engines execute cycles:
   follows each such fault, keyed by (selector, frame).  ``make_engine``
   keeps one engine per circuit, so the memo is shared by every estimate,
   sweep point and pool block of a process; it is bounded by the circuit's
-  single faults and never touches the RNG.
+  single faults and never touches the RNG.  The C kernel holds the same
+  two kinds of cycle as tables, filled whole when the engine packs its
+  circuit; the memo, saturated, is their oracle.
 
 Both consume the RNG stream identically (only error sampling draws), so a
 trial gives bit-identical results under either engine; the test suite
@@ -45,7 +47,10 @@ call seeds and runs a block of trials: it makes each trial's generator
 ``PCG64(trial_seed(...))`` by numpy's own ``SeedSequence`` hash and PCG64
 seeding, reproduced in C word for word, and makes the same draws in the
 same order, so its trials end on the cycles ``run_trial`` gives; the tests
-compare the two trial for trial, and the seeding with numpy's.  It is
+compare the two trial for trial, and the seeding with numpy's.  It reads
+a single fault on the clean frame, and a zero-event cycle on a frame of
+the faults' noiseless orbits, from its tables after the same draws, and
+runs the ops of every other cycle.  It is
 built on first use with ``gcc -O2 -ffp-contract=off`` and no fast-math, so
 that no double is rounded differently from Python, into ``__pycache__``
 beside the source.  Everything else runs ``run_trial``, the portable path
@@ -262,6 +267,12 @@ class _FrameEngine:
     zero-event cycle from a frame outside the closure, unless the frame is
     all zero (``_CLEAN``).  The tables fill lazily, belong to the instance
     (``make_engine`` keeps one per circuit) and never read the RNG.
+
+    ``kernel_circuit`` hands the C kernel the same two tables, filled in C
+    for every single fault at once; saturated by every single fault, this
+    memo equals them entry for entry, and the tests check that.  The memo
+    itself serves the Python loop: traced runs, the BTPE range and
+    machines without gcc.
     """
 
     name = "frame"
@@ -310,22 +321,32 @@ class _FrameEngine:
 
     def kernel_circuit(self):
         """The compiled cycles and classifier masks as a ``kernel.Circuit``
-        for the C kernel, packed on first use."""
+        for the C kernel, packed on first use, with the tables of every
+        single fault and its noiseless orbit (``kernel.fill_tables``) when
+        the library loads.  Packed in the calling thread and read-only
+        after, so the kernel's threads share it."""
         if self._packed is None:
             from . import kernel
 
-            self._packed = kernel.pack_circuit(
+            packed = kernel.pack_circuit(
                 [self._compiled[which][:2] for which in "ab"], _site_count(self.circuit),
                 self.gen_masks, self.zl_mask, self.nondata_mask)
+            lib = kernel.library()
+            if lib is not None:
+                kernel.fill_tables(lib, packed, [self._fault_slots(w) for w in "ab"])
+            self._packed = packed
         return self._packed
+
+    def _fault_slots(self, which: str) -> int:
+        """The single faults of a cycle: its sites' ``n_paulis`` summed."""
+        return sum(site.n_paulis for site in self.circuit.error_sites(which))
 
     def memo_sizes(self) -> dict:
         """Single faults stored, the number there can be (the sites'
         ``n_paulis`` over both cycles), and orbit cycles stored."""
         return {
             "fault_entries": sum(map(len, self._fresh.values())),
-            "fault_slots": sum(site.n_paulis for which in "ab"
-                               for site in self.circuit.error_sites(which)),
+            "fault_slots": sum(map(self._fault_slots, "ab")),
             "orbit_entries": sum(map(len, self._idle.values())),
         }
 

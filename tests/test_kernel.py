@@ -7,14 +7,17 @@ kernel's seeding: a trial's generator must be
 ``PCG64(trial_seed(master, point, trial))`` word for word.  The numpy loop
 ``sets[j][rng.integers(0, n, size=n)].mean()`` is the oracle of the
 kernel's bootstrap resampling: the same means, bit for bit, and the
-generator left in the same state.
+generator left in the same state.  A frame engine's memo, saturated with
+every single fault, is the oracle of the kernel's tables, entry for entry.
 """
+import concurrent.futures
 import hashlib
 import json
 import os
 import shutil
 import subprocess
 import sys
+import threading
 import warnings
 
 import numpy as np
@@ -23,9 +26,12 @@ import pytest
 from mfqec import kernel, montecarlo
 from mfqec.circuits import Variant
 from mfqec.codes import BIT_FLIP_CODE
+from mfqec.errors import ErrorChannel, ErrorEvent
 from mfqec.montecarlo import (
+    Classification,
     TrialConfig,
     TrialResult,
+    _FrameEngine,
     _kernel_trials,
     circuit_for,
     estimate_logical_error_rate,
@@ -409,6 +415,117 @@ def test_kernel_circuit_digests(name, variant):
     as they are."""
     packed = make_engine(circuit_for(name, variant), "frame").kernel_circuit()
     assert _packed_digest(packed) == KERNEL_CIRCUIT_DIGESTS[name, variant]
+
+
+# Orbit cycles of every circuit's saturated memo: the zero-event cycles on
+# the noiseless orbits of all its single faults, both cycles together.
+ORBIT_ENTRIES = {
+    ("bf", Variant.SIMPLIFIED): 494,
+    ("bf", Variant.PERFECT): 548,
+    ("surface17", Variant.SIMPLIFIED): 3230,
+    ("surface17", Variant.PERFECT): 2376,
+    ("unencoded", Variant.NONE): 0,
+}
+
+# The kernel's class codes, in the order of its enum.
+CLASS_CODES = {Classification.CLEAN_ZERO: 0, Classification.LOGICAL_FLIP: 1,
+               Classification.RESIDUAL: 2}
+
+
+def _single_faults(site):
+    """Every non-identity Pauli of ``site`` as letters, by ascending base-4
+    index (first qubit most significant), the order of the kernel's fresh
+    rows; an init site has X alone."""
+    if site.channel is ErrorChannel.INIT:
+        return [("X",)]
+    k = len(site.qubits)
+    return [tuple("IXYZ"[index >> 2 * (k - 1 - j) & 3] for j in range(k))
+            for index in range(1, 4 ** k)]
+
+
+def test_kernel_tables_equal_the_saturated_memo():
+    """The tables the kernel packs are the Python memo of a frame engine
+    that ran every single fault of both cycles on the clean frame: one
+    fresh row per fault, in site order and Pauli index order from each
+    site's ``fresh_base``, and the idle rows of exactly the memo's orbit
+    cycles, entry for entry."""
+    kernel_library()
+    for (name, variant), orbit_entries in ORBIT_ENTRIES.items():
+        circ = circuit_for(name, variant)
+        memo = _FrameEngine(circ)
+        for selector in "ab":
+            for site in circ.error_sites(selector):
+                for letters in _single_faults(site):
+                    memo.run_cycle(memo.new_run(), selector, [ErrorEvent(site, letters)])
+        sizes = memo.memo_sizes()
+        assert sizes["fault_entries"] == sizes["fault_slots"], name
+        assert sizes["orbit_entries"] == orbit_entries, name
+        packed = _FrameEngine(circ).kernel_circuit()
+        n = circ.n_qubits
+        for cyc, selector in zip(packed.cycle, "ab"):
+            sites = circ.error_sites(selector)
+            expected, bases = [], []
+            for i, site in enumerate(sites):
+                bases.append(len(expected))
+                for letters in _single_faults(site):
+                    fx, fz, cls = memo._fresh[selector][
+                        i << 6 | montecarlo._PAULI_INDEX[letters]]
+                    expected.append([fx, fz, CLASS_CODES[cls]])
+            assert cyc.fresh_base[:len(sites)] == bases
+            assert cyc.n_fresh == len(expected) == sum(site.n_paulis for site in sites)
+            rows = cyc.fresh[:kernel.FRESH_ROW * cyc.n_fresh]
+            assert [rows[r:r + 3] for r in range(0, len(rows), 3)] == expected, name
+            slots = cyc.idle[:kernel.IDLE_ROW * (cyc.idle_mask + 1)]
+            idle = {row[0] << n | row[1]: (row[2], row[3], row[4])
+                    for row in (slots[r:r + 5] for r in range(0, len(slots), 5))
+                    if row[0] | row[1]}
+            assert cyc.n_idle == len(idle) <= (cyc.idle_mask + 1) // 2
+            assert idle == {key: (fx, fz, CLASS_CODES[cls])
+                            for key, (fx, fz, cls) in memo._idle[selector].items()}, name
+        assert sum(cyc.n_idle for cyc in packed.cycle) == orbit_entries
+
+
+def test_estimates_share_one_circuit_filled_once(monkeypatch):
+    """Two estimates on one engine run on the one circuit it packs, whose
+    tables are filled once, in the calling thread; a fill that fails
+    raises before any thread pool starts, and fresh-row counts that do not
+    match the sites' Paulis make the fill fail."""
+    kernel_library()
+    circ = circuit_for("bf", Variant.PERFECT)
+    monkeypatch.delitem(circ.engines, "frame", raising=False)
+    fills, circuits = [], []
+    real_fill, real_block = kernel.fill_tables, kernel.skip_block
+
+    def fill(*args):
+        fills.append(threading.current_thread())
+        real_fill(*args)
+
+    def block(lib, circuit, *args):
+        circuits.append(circuit)
+        return real_block(lib, circuit, *args)
+
+    monkeypatch.setattr(kernel, "fill_tables", fill)
+    monkeypatch.setattr(kernel, "skip_block", block)
+    for seed in (1, 2):
+        estimate_logical_error_rate(BIT_FLIP_CODE, Variant.PERFECT, 0.02, 40, seed,
+                                    workers=2)
+    packed = make_engine(circ, "frame").kernel_circuit()
+    assert fills == [threading.current_thread()]
+    assert circuits and all(c is packed for c in circuits)
+
+    monkeypatch.delitem(circ.engines, "frame")
+    pools = []
+    monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor",
+                        lambda *a, **k: pools.append(1))
+
+    def failing_fill(lib, packed, fresh_rows):
+        real_fill(lib, packed, [rows + 1 for rows in fresh_rows])
+
+    monkeypatch.setattr(kernel, "fill_tables", failing_fill)
+    with pytest.raises(ValueError, match="fresh rows"):
+        estimate_logical_error_rate(BIT_FLIP_CODE, Variant.PERFECT, 0.02, 40, 1,
+                                    workers=2)
+    assert not pools and make_engine(circ, "frame")._packed is None
 
 
 _BUILD = """

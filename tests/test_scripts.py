@@ -12,6 +12,7 @@ import sys
 import numpy as np
 
 import test_acceptance
+from kernelhooks import kernel_or_none
 from mfqec.cli import CSV_HEADER
 
 SCRIPTS = os.path.join(os.path.dirname(__file__), os.pardir, "scripts")
@@ -47,7 +48,9 @@ def test_run_thresholds_uses_acceptance_sweeps_and_writes_csvs(tmp_path, capsys)
 def test_trace_rounds_counts_repeat():
     """Two traced runs of the same fixed rounds make the same calls.  Each
     runs in its own interpreter: the benchmark's wrappers stay installed
-    for the life of the process."""
+    for the life of the process.  The kernel's tables hold every single
+    fault and every orbit cycle of the circuit, however few the memo has
+    met."""
     argv = [sys.executable, os.path.join(SCRIPTS, "trace_rounds.py"),
             "--workload", "s17-simplified-stuck", "--rounds", "2", "--trials", "2"]
     counts = []
@@ -58,8 +61,12 @@ def test_trace_rounds_counts_repeat():
         assert line["rounds"] == 2 and line["trials_per_point"] == 2
         assert 0 < line["memo.fault_entries"] <= line["memo.fault_slots"]
         assert line["memo.orbit_entries"] > 0
+        if kernel_or_none() is not None:
+            assert line["tables.fresh_rows"] == line["memo.fault_slots"] == 3562
+            assert line["tables.orbit_entries"] == 3230 >= line["memo.orbit_entries"]
         counts.append({k: v for k, v in line["metrics"].items() if k.endswith(".calls")}
-                      | {k: v for k, v in line.items() if k.startswith("memo.")})
+                      | {k: v for k, v in line.items()
+                         if k.startswith(("memo.", "tables."))})
     assert counts[0] == counts[1]
     assert counts[0]["trial.calls"] == 4
     assert counts[0]["errors.clean_run.calls"] > 0
