@@ -13,16 +13,12 @@ timed against the benchmark's calibration clock, so the seconds are raw.
 Both benchmark modules are imported, not changed; a ``bf-sweep`` round
 writes its CSV under ``perfbench/out/`` as the benchmark does.
 
-The line also gives the size of the transition memo of the workload
-circuit's frame engine after the rounds: ``memo.fault_entries`` single
-faults stored out of ``memo.fault_slots`` possible, and
-``memo.orbit_entries`` noiseless orbit cycles.  They are read from this
-process's engine; ``bf-sweep`` runs its trials in pool workers, each with
-an engine of its own, so its entries read 0 here.  Beside them are the
-sizes of the C kernel's tables, read from ``engine.kernel_circuit()``,
-which fills them whole whatever the rounds ran: ``tables.fresh_rows``, one
-per single fault, and ``tables.orbit_entries``, the orbit cycles of all of
-them (0 where the kernel cannot be built).
+The line also gives the sizes of the C kernel's tables, which the kernel
+and the Python loop read, of the workload circuit's frame engine:
+``tables.fresh_rows``, one per single fault on the clean frame, and
+``tables.orbit_entries``, the zero-event cycles on the noiseless orbits of
+all of them.  They are read from ``engine.kernel_circuit()``, which fills
+them whole whatever the rounds ran (0 where the kernel cannot be built).
 """
 from __future__ import annotations
 
@@ -73,13 +69,12 @@ def main(argv=None) -> int:
         tracer.uninstall()
     spec = run.WORKLOADS[args.workload]
     engine = make_engine(circuit_for(spec["code"], Variant(spec["variant"])), "frame")
-    memo = {f"memo.{k}": v for k, v in engine.memo_sizes().items()}
     packed = engine.kernel_circuit()
     tables = {"tables.fresh_rows": sum(cyc.n_fresh for cyc in packed.cycle),
               "tables.orbit_entries": sum(cyc.n_idle for cyc in packed.cycle)}
     print(json.dumps({"workload": args.workload, "seed": args.seed,
                       "rounds": args.rounds, "trials_per_point": trials,
-                      **memo, **tables, "metrics": tracer.metrics()}))
+                      **tables, "metrics": tracer.metrics()}))
     return 0
 
 

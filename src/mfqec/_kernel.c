@@ -15,8 +15,8 @@
  * A cycle with one event on the clean frame makes its Pauli draw and reads
  * its fresh row; a zero-event cycle reads its idle row when the frame is
  * there.  Neither skips or adds a draw, so the stream is unchanged; every
- * other cycle runs its ops.  _FrameEngine's memo, saturated, is the
- * tables' oracle.
+ * other cycle runs its ops.  The Python loop reads the same tables, and
+ * _FrameEngine._transition, which runs the ops, is their oracle.
  *
  * It also resamples montecarlo.resample_means's bootstraps: from a PCG64
  * state handed over by Python, buffered half-word included, it makes the
@@ -500,12 +500,12 @@ void mfqec_skip_block(const circuit_t *c, const rate_t *r, int64_t max_cycles,
  * (n_fresh of them), its fresh_base and idle_mask + 1 idle rows.  For every
  * single fault (site, Pauli) of a cycle, its fresh row is the cycle from the
  * clean frame with that event.  While the result is residual, the noiseless
- * orbit after it is walked as _FrameEngine._store_orbit walks it: the other
- * cycle, then the first, and so on, each zero-event cycle an idle row,
- * until the frame is clean or flipped or its (cycle, frame) row is already
- * there, whose orbit then is too.  Returns 0; -1 when a cycle's sites'
- * Pauli counts do not sum to its n_fresh; or 1 + s when cycle s's idle rows
- * would pass half its slots, and the caller doubles them and calls again. */
+ * orbit after it is walked: the other cycle, then the first, and so on,
+ * each zero-event cycle an idle row, until the frame is clean or flipped or
+ * its (cycle, frame) row is already there, whose orbit then is too.
+ * Returns 0; -1 when a cycle's sites' Pauli counts do not sum to its
+ * n_fresh; or 1 + s when cycle s's idle rows would pass half its slots, and
+ * the caller doubles them and calls again. */
 int64_t mfqec_fill_tables(circuit_t *c)
 {
     for (int s = 0; s < 2; s++) {

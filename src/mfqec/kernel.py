@@ -11,14 +11,16 @@ made in C by numpy's own ``SeedSequence`` hash and PCG64 seeding, from the
 Python allocates and C fills with the result of every single fault on the
 clean frame and of every zero-event cycle on those faults' noiseless
 orbits, which the trials read in place of running those cycles' ops.  The
-library is built on first
-use with ``gcc -O2 -shared -fPIC -ffp-contract=off``: no fast-math, no
-``-march=native`` and no contraction into FMA, so that every double is
-rounded as Python rounds it and the trial consumes the RNG stream exactly
-as the Python loop does.  The library goes to ``__pycache__`` next to this
-file, named by a hash of the source and the flags; it is compiled to a
-temporary name and moved into place with ``os.replace``, so that processes
-building at once (pool workers) all end up loading one complete file.
+Python trial loop reads the same tables (``read_tables``), and
+``_FrameEngine._transition``, which runs a cycle's ops, is their oracle.
+The library is built on first use with ``gcc -O2 -shared -fPIC
+-ffp-contract=off``: no fast-math, no ``-march=native`` and no contraction
+into FMA, so that every double is rounded as Python rounds it and the trial
+consumes the RNG stream exactly as the Python loop does.  The library goes
+to ``__pycache__`` next to this file, named by a hash of the source and the
+flags; it is compiled to a temporary name and moved into place with
+``os.replace``, so that processes building at once (pool workers) all end
+up loading one complete file.
 ``library()`` loads it with ``ctypes`` once per process; if that fails (no
 compiler, a read-only package directory) it warns once and returns None,
 and the trials and bootstraps run in Python.
@@ -119,6 +121,25 @@ def fill_tables(lib, packed: Circuit, fresh_rows) -> None:
         give_idle(status - 1, 2 * (packed.cycle[status - 1].idle_mask + 1))
     if status < 0:
         raise ValueError(f"fresh rows {list(fresh_rows)} do not match the sites' Paulis")
+
+
+def read_tables(packed: Circuit) -> list:
+    """The filled tables of both cycles of ``packed`` as plain Python: per
+    cycle, ``(faults, idle)``.  ``faults[i]`` lists site i's fresh rows
+    (fx', fz', class) by Pauli index, 1 first; ``idle`` maps each frame
+    (fx, fz) in use to its row (fx', fz', class)."""
+    tables = []
+    for cyc in packed.cycle:
+        rows = cyc.fresh[:FRESH_ROW * cyc.n_fresh]
+        rows = [tuple(rows[r:r + FRESH_ROW]) for r in range(0, len(rows), FRESH_ROW)]
+        bounds = [*cyc.fresh_base[:packed.n_sites], cyc.n_fresh]
+        slots = cyc.idle[:IDLE_ROW * (cyc.idle_mask + 1)]
+        idle = {}
+        for r in range(0, len(slots), IDLE_ROW):
+            if slots[r] | slots[r + 1]:
+                idle[slots[r], slots[r + 1]] = tuple(slots[r + 2:r + IDLE_ROW])
+        tables.append(([rows[lo:hi] for lo, hi in zip(bounds, bounds[1:])], idle))
+    return tables
 
 
 def pack_rate(log_clean: float, count_cdf, p: float, q: float, qn: float,

@@ -22,15 +22,14 @@ Two interchangeable engines execute cycles:
 * "frame" — an error-frame fast path: since the noiseless reference run is
   the identity on the clean state, the entire state is two bit masks (X and
   Z frame), gates permute frame bits, and classically-controlled
-  corrections read frame bits directly.  Each frame engine memoizes the
-  cycles a memory spends its time in: a cycle with one event on the clean
-  frame, keyed by (selector, site, Pauli), and the noiseless orbit that
-  follows each such fault, keyed by (selector, frame).  ``make_engine``
-  keeps one engine per circuit, so the memo is shared by every estimate,
-  sweep point and pool block of a process; it is bounded by the circuit's
-  single faults and never touches the RNG.  The C kernel holds the same
-  two kinds of cycle as tables, filled whole when the engine packs its
-  circuit; the memo, saturated, is their oracle.
+  corrections read frame bits directly.  The cycles a memory spends its
+  time in, a cycle with one event on the clean frame and the zero-event
+  cycles of the noiseless orbit that follows each such fault, are looked
+  up in the C kernel's tables, filled whole when the engine packs its
+  circuit and read by the Python loop on its first cycle; every other
+  cycle runs its ops (``_FrameEngine._transition``, the tables' oracle).
+  ``make_engine`` keeps one engine per circuit, so every estimate, sweep
+  point and pool block of a process shares its tables.
 
 Both consume the RNG stream identically (only error sampling draws), so a
 trial gives bit-identical results under either engine; the test suite
@@ -78,7 +77,7 @@ from __future__ import annotations
 import enum
 import math
 from dataclasses import dataclass
-from functools import lru_cache, partial
+from functools import cached_property, lru_cache, partial
 from itertools import product
 
 import numpy as np
@@ -251,28 +250,15 @@ class _FrameEngine:
     reproduces the tableau semantics exactly (the suite checks trial
     equivalence bit-for-bit).
 
-    A cycle is a pure function of (selector, frame, events), so the engine
-    memoizes, per selector, the calls a memory spends its time in.  Cycles
-    with exactly one event on the all-zero frame are stored in ``_fresh``,
-    keyed by ``site_index << 6 | pauli_index``: at most the sum of the
-    sites' ``n_paulis`` entries.  When such an entry is filled, the
-    noiseless orbit of its frame is walked, alternating a and b, and each
-    zero-event cycle of it is stored in ``_idle``, keyed by ``fx << n_qubits
-    | fz``.  The walk stops when the frame is clean or carries a logical
-    flip, or at a (selector, frame) pair already stored, which is how the
-    simplified variant's loops end.  So ``_idle`` holds exactly the orbit
-    closure of the single faults, and the memo cannot outgrow the circuit.
-    Both tables map to the post-cycle ``(fx, fz, classification)``, interned.
-    Every other call runs the compiled ops and stores nothing; so does a
-    zero-event cycle from a frame outside the closure, unless the frame is
-    all zero (``_CLEAN``).  The tables fill lazily, belong to the instance
-    (``make_engine`` keeps one per circuit) and never read the RNG.
-
-    ``kernel_circuit`` hands the C kernel the same two tables, filled in C
-    for every single fault at once; saturated by every single fault, this
-    memo equals them entry for entry, and the tests check that.  The memo
-    itself serves the Python loop: traced runs, the BTPE range and
-    machines without gcc.
+    A cycle is a pure function of (selector, frame, events), and a memory
+    spends its time in two kinds of call: one event on the all-zero frame,
+    and no event on a frame of the noiseless orbits such faults start.  The
+    C kernel holds both kinds as tables, filled whole for every single fault
+    when ``kernel_circuit`` packs the circuit; on its first cycle the engine
+    reads them (``_tables``) and looks those calls up there.  Every other
+    call runs the compiled ops (``_transition``, the tables' oracle), as
+    does every call where the kernel cannot pack the circuit (no library, a
+    frame wider than 64 qubits).  Neither reads the RNG.
     """
 
     name = "frame"
@@ -293,9 +279,6 @@ class _FrameEngine:
             "a": self._compile(circuit, "a"),
             "b": self._compile(circuit, "b"),
         }
-        self._idle = {"a": {}, "b": {}}
-        self._fresh = {"a": {}, "b": {}}
-        self._results = {}  # interns the tables' result tuples
         self._packed = None  # the compiled cycles as a kernel.Circuit
 
     @staticmethod
@@ -333,22 +316,32 @@ class _FrameEngine:
                 self.gen_masks, self.zl_mask, self.nondata_mask)
             lib = kernel.library()
             if lib is not None:
-                kernel.fill_tables(lib, packed, [self._fault_slots(w) for w in "ab"])
+                kernel.fill_tables(lib, packed, [
+                    sum(site.n_paulis for site in self.circuit.error_sites(w))
+                    for w in "ab"])
             self._packed = packed
         return self._packed
 
-    def _fault_slots(self, which: str) -> int:
-        """The single faults of a cycle: its sites' ``n_paulis`` summed."""
-        return sum(site.n_paulis for site in self.circuit.error_sites(which))
+    @cached_property
+    def _tables(self):
+        """Per selector, the kernel's tables (``kernel.read_tables``) as
+        ``run_cycle`` looks them up: single faults on the clean frame keyed
+        by ``site_index << 6 | pauli_index`` and zero-event cycles keyed by
+        ``fx << n_qubits | fz``, each to ``(fx', fz', classification)``.
+        Empty where ``_kernel_trials`` could not pack the circuit."""
+        from . import kernel
 
-    def memo_sizes(self) -> dict:
-        """Single faults stored, the number there can be (the sites'
-        ``n_paulis`` over both cycles), and orbit cycles stored."""
-        return {
-            "fault_entries": sum(map(len, self._fresh.values())),
-            "fault_slots": sum(map(self._fault_slots, "ab")),
-            "orbit_entries": sum(map(len, self._idle.values())),
-        }
+        if self._n > 64 or kernel.library() is None:
+            return {"a": ({}, {}), "b": ({}, {})}
+        classes = tuple(Classification)  # in the order of the kernel's codes
+        n = self._n
+        tables = {}
+        for which, (faults, idle) in zip("ab", kernel.read_tables(self.kernel_circuit())):
+            tables[which] = (
+                {i << 6 | index: (x, z, classes[c]) for i, rows in enumerate(faults)
+                 for index, (x, z, c) in enumerate(rows, 1)},
+                {fx << n | fz: (x, z, classes[c]) for (fx, fz), (x, z, c) in idle.items()})
+        return tables
 
     @staticmethod
     def _exec(ops, a, b, fx, fz):
@@ -378,41 +371,19 @@ class _FrameEngine:
 
     def run_cycle(self, state, selector: str, events, rng=None) -> Classification:
         fx, fz = state
+        faults, idle = self._tables[selector]
         if not events:
-            out = self._idle[selector].get(fx << self._n | fz)
-            if out is None:
-                out = self._transition(selector, fx, fz, events) if fx or fz else _CLEAN
+            out = idle.get(fx << self._n | fz) if fx or fz else _CLEAN
         elif len(events) == 1 and not (fx or fz):
             ev = events[0]
-            table = self._fresh[selector]
-            key = (self._compiled[selector][2][ev.site] << 6
-                   | _PAULI_INDEX[ev.paulis])
-            out = table.get(key)
-            if out is None:
-                out = table[key] = self._intern(
-                    self._transition(selector, 0, 0, events))
-                self._store_orbit(selector, out)
+            out = faults.get(self._compiled[selector][2][ev.site] << 6
+                             | _PAULI_INDEX[ev.paulis])
         else:
+            out = None
+        if out is None:
             out = self._transition(selector, fx, fz, events)
         state[0], state[1], cls = out
         return cls
-
-    def _intern(self, out):
-        return self._results.setdefault(out, out)
-
-    def _store_orbit(self, selector: str, out):
-        """Store the zero-event cycles that follow ``out``, the result of a
-        ``selector`` cycle, until the frame is clean or flipped or the next
-        (selector, frame) pair is already stored."""
-        fx, fz, cls = out
-        while cls is Classification.RESIDUAL:
-            selector = "b" if selector == "a" else "a"
-            table = self._idle[selector]
-            key = fx << self._n | fz
-            if key in table:
-                return
-            fx, fz, cls = table[key] = self._intern(
-                self._transition(selector, fx, fz, ()))
 
     def _transition(self, selector: str, fx, fz, events):
         """One cycle from frame (fx, fz): (fx', fz', classification)."""
@@ -455,7 +426,7 @@ ENGINES = {"tableau": _TableauEngine, "frame": _FrameEngine}
 def make_engine(circuit: Circuit, name: str):
     """The engine called ``name`` of ``circuit``: one per (circuit, name),
     made on first use and kept on the circuit, so every estimate of a
-    process shares its memo."""
+    process shares its packed circuit and tables."""
     eng = circuit.engines.get(name)
     if eng is None:
         try:

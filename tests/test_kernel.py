@@ -7,8 +7,8 @@ kernel's seeding: a trial's generator must be
 ``PCG64(trial_seed(master, point, trial))`` word for word.  The numpy loop
 ``sets[j][rng.integers(0, n, size=n)].mean()`` is the oracle of the
 kernel's bootstrap resampling: the same means, bit for bit, and the
-generator left in the same state.  A frame engine's memo, saturated with
-every single fault, is the oracle of the kernel's tables, entry for entry.
+generator left in the same state.  ``_FrameEngine._transition``, which
+runs a cycle's ops, is the oracle of the kernel's tables, row for row.
 """
 import concurrent.futures
 import hashlib
@@ -417,8 +417,16 @@ def test_kernel_circuit_digests(name, variant):
     assert _packed_digest(packed) == KERNEL_CIRCUIT_DIGESTS[name, variant]
 
 
-# Orbit cycles of every circuit's saturated memo: the zero-event cycles on
-# the noiseless orbits of all its single faults, both cycles together.
+# Table rows of every circuit, both cycles together: one fresh row per
+# single fault on the clean frame, and one idle row per zero-event cycle on
+# the noiseless orbits of all of them.
+FRESH_ROWS = {
+    ("bf", Variant.SIMPLIFIED): 598,
+    ("bf", Variant.PERFECT): 1402,
+    ("surface17", Variant.SIMPLIFIED): 3562,
+    ("surface17", Variant.PERFECT): 8570,
+    ("unencoded", Variant.NONE): 6,
+}
 ORBIT_ENTRIES = {
     ("bf", Variant.SIMPLIFIED): 494,
     ("bf", Variant.PERFECT): 548,
@@ -443,45 +451,45 @@ def _single_faults(site):
             for index in range(1, 4 ** k)]
 
 
-def test_kernel_tables_equal_the_saturated_memo():
-    """The tables the kernel packs are the Python memo of a frame engine
-    that ran every single fault of both cycles on the clean frame: one
-    fresh row per fault, in site order and Pauli index order from each
-    site's ``fresh_base``, and the idle rows of exactly the memo's orbit
-    cycles, entry for entry."""
+def test_kernel_tables_equal_the_transitions():
+    """Every row of the tables the kernel packs is what ``_transition``
+    computes from the ops.  Each single fault on the clean frame has its
+    fresh row, in site order from each site's ``fresh_base`` and in Pauli
+    index order; the idle rows are exactly the zero-event cycles on those
+    faults' noiseless orbits, walked here, alternating the cycles, up to
+    clean, a logical flip or a (cycle, frame) pair already walked."""
     kernel_library()
     for (name, variant), orbit_entries in ORBIT_ENTRIES.items():
         circ = circuit_for(name, variant)
-        memo = _FrameEngine(circ)
-        for selector in "ab":
-            for site in circ.error_sites(selector):
-                for letters in _single_faults(site):
-                    memo.run_cycle(memo.new_run(), selector, [ErrorEvent(site, letters)])
-        sizes = memo.memo_sizes()
-        assert sizes["fault_entries"] == sizes["fault_slots"], name
-        assert sizes["orbit_entries"] == orbit_entries, name
-        packed = _FrameEngine(circ).kernel_circuit()
-        n = circ.n_qubits
-        for cyc, selector in zip(packed.cycle, "ab"):
+        engine = _FrameEngine(circ)
+
+        def transition(selector, fx, fz, events):
+            fx, fz, cls = engine._transition(selector, fx, fz, events)
+            return fx, fz, CLASS_CODES[cls]
+
+        packed = engine.kernel_circuit()
+        tables = kernel.read_tables(packed)
+        closure = {"a": {}, "b": {}}
+        for cyc, selector, (faults, _) in zip(packed.cycle, "ab", tables):
             sites = circ.error_sites(selector)
-            expected, bases = [], []
-            for i, site in enumerate(sites):
-                bases.append(len(expected))
-                for letters in _single_faults(site):
-                    fx, fz, cls = memo._fresh[selector][
-                        i << 6 | montecarlo._PAULI_INDEX[letters]]
-                    expected.append([fx, fz, CLASS_CODES[cls]])
-            assert cyc.fresh_base[:len(sites)] == bases
-            assert cyc.n_fresh == len(expected) == sum(site.n_paulis for site in sites)
-            rows = cyc.fresh[:kernel.FRESH_ROW * cyc.n_fresh]
-            assert [rows[r:r + 3] for r in range(0, len(rows), 3)] == expected, name
-            slots = cyc.idle[:kernel.IDLE_ROW * (cyc.idle_mask + 1)]
-            idle = {row[0] << n | row[1]: (row[2], row[3], row[4])
-                    for row in (slots[r:r + 5] for r in range(0, len(slots), 5))
-                    if row[0] | row[1]}
+            expected = [[transition(selector, 0, 0, [ErrorEvent(site, letters)])
+                         for letters in _single_faults(site)] for site in sites]
+            assert faults == expected, name
+            bases = np.cumsum([0] + [site.n_paulis for site in sites])
+            assert cyc.fresh_base[:len(sites)] == bases[:-1].tolist()
+            assert cyc.n_fresh == bases[-1]
+            for fx, fz, cls in (row for rows in faults for row in rows):
+                at = selector
+                while cls == CLASS_CODES[Classification.RESIDUAL]:
+                    at = "b" if at == "a" else "a"
+                    if (fx, fz) in closure[at]:
+                        break
+                    out = closure[at][fx, fz] = transition(at, fx, fz, ())
+                    fx, fz, cls = out
+        for cyc, selector, (_, idle) in zip(packed.cycle, "ab", tables):
+            assert idle == closure[selector], name
             assert cyc.n_idle == len(idle) <= (cyc.idle_mask + 1) // 2
-            assert idle == {key: (fx, fz, CLASS_CODES[cls])
-                            for key, (fx, fz, cls) in memo._idle[selector].items()}, name
+        assert sum(cyc.n_fresh for cyc in packed.cycle) == FRESH_ROWS[name, variant]
         assert sum(cyc.n_idle for cyc in packed.cycle) == orbit_entries
 
 

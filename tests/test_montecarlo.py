@@ -20,7 +20,7 @@ import numpy as np
 import pytest
 from scipy import stats
 
-from mfqec import montecarlo
+from mfqec import kernel, montecarlo
 from mfqec.circuits import Variant, build_circuit, enumerate_error_sites
 from mfqec.codes import BIT_FLIP_CODE, SURFACE17_CODE, UNENCODED
 from mfqec.errors import ErrorChannel, ErrorEvent, draw_event_paulis
@@ -342,21 +342,19 @@ def test_frame_cycle_matches_tableau_from_any_frame(name, variant):
                                                  else Sign.PLUS)
 
 
-def _memo_sizes(engine):
-    return [len(t) for tables in (engine._idle, engine._fresh)
-            for t in tables.values()] + [len(engine._results)]
-
-
 @pytest.mark.parametrize("name,variant,p", TRIAL_BUDGETS)
 def test_warm_frame_engine_matches_fresh_engines(name, variant, p):
-    """A frame engine whose transition memo was filled by trials gives,
-    call for call, the classification and frame of a fresh engine, and
-    stores nothing for calls outside the two memoized kinds."""
+    """A frame engine that ran trials, and so reads the kernel's tables,
+    gives, call for call, the classification and frame that a fresh
+    engine's ``_transition`` computes from the ops: on table hits of both
+    kinds, on multi-event cycles and on events on a residual frame."""
+    kernel_library()
     circ = circuit_for(name, variant)
+    n = circ.n_qubits
     warm = _FrameEngine(circ)
     for seed in range(20):
         run_trial(TrialConfig(p, seed=seed, max_cycles=20_000), engine=warm)
-    assert all(_memo_sizes(warm))
+    fresh = _FrameEngine(circ)
 
     rng = np.random.default_rng(2024)
     # a few sites per cycle, so that single faults on the clean frame repeat
@@ -368,19 +366,39 @@ def test_warm_frame_engine_matches_fresh_engines(name, variant, p):
         k = int(rng.choice([0, 0, 0, 1, 1, 2, 3]))
         events = _random_events(circ, selector, k, rng, pool)
         before = list(state)
-        sizes = _memo_sizes(warm)
-        cls = warm.run_cycle(state, selector, events)
-        fresh_state = list(before)
-        assert cls is _FrameEngine(circ).run_cycle(fresh_state, selector, events)
-        assert state == fresh_state
+        fx, fz, expected = fresh._transition(selector, *before, events)
+        assert warm.run_cycle(state, selector, events) is expected
+        assert state == [fx, fz]
+        faults, idle = warm._tables[selector]
         if len(events) >= 2 or (events and any(before)):
-            assert _memo_sizes(warm) == sizes
             seen["multi-event" if len(events) >= 2 else "residual noisy"] += 1
-        elif _memo_sizes(warm) == sizes:
-            seen["fresh hit" if events else "idle hit"] += 1
-        if cls is Classification.LOGICAL_FLIP or rng.random() < 0.1:
+        elif events:
+            ev = events[0]
+            key = warm._compiled[selector][2][ev.site] << 6 | montecarlo._PAULI_INDEX[ev.paulis]
+            seen["fresh hit"] += key in faults
+        else:
+            seen["idle hit"] += (before[0] << n | before[1]) in idle
+        if expected is Classification.LOGICAL_FLIP or rng.random() < 0.1:
             state[:] = warm.new_run()
     assert all(seen.values()), seen
+
+
+@pytest.mark.parametrize("name,variant,p", [TRIAL_BUDGETS[0], TRIAL_BUDGETS[2]])
+def test_frame_engine_without_the_kernel_runs_the_same_trials(monkeypatch, name,
+                                                              variant, p):
+    """Where the kernel does not load, a fresh frame engine reads no tables
+    and runs every cycle's ops; its trials end where those of an engine
+    that read the tables end."""
+    kernel_library()
+    circ = circuit_for(name, variant)
+    cfgs = [TrialConfig(p, seed=seed, max_cycles=20_000) for seed in range(12)]
+    with_tables = _FrameEngine(circ)
+    expected = [run_trial(cfg, engine=with_tables) for cfg in cfgs]
+    assert all(faults and idle for faults, idle in with_tables._tables.values())
+    monkeypatch.setattr(kernel, "library", lambda: None)
+    without = _FrameEngine(circ)
+    assert [run_trial(cfg, engine=without) for cfg in cfgs] == expected
+    assert not any(faults or idle for faults, idle in without._tables.values())
 
 
 def test_run_trial_takes_the_circuit_from_an_engine(monkeypatch):
@@ -401,70 +419,9 @@ def test_estimate_rejects_a_code_under_variant_none():
                                     engine="frame")
 
 
-def _fault_event(circ, selector, key):
-    """The single fault of a ``_fresh`` key ``site_index << 6 | pauli_index``
-    (base-4 letters I, X, Y, Z, first qubit most significant)."""
-    site = circ.error_sites(selector)[key >> 6]
-    k = len(site.qubits)
-    paulis = tuple(LETTERS[(key & 63) >> 2 * (k - 1 - j) & 3] for j in range(k))
-    assert paulis in _all_paulis(site)
-    return ErrorEvent(site, paulis)
-
-
-MEMO_WARMUPS = [
-    ("bf", Variant.PERFECT, (0.01, 0.02, 0.04)),
-    ("bf", Variant.SIMPLIFIED, (0.02, 0.05, 0.1)),
-    ("surface17", Variant.SIMPLIFIED, (0.002, 0.004)),
-]
-
-
-@pytest.mark.parametrize("name,variant,ps", MEMO_WARMUPS)
-def test_frame_memo_is_the_orbit_closure_of_single_faults(name, variant, ps):
-    """After the trials of estimates at several p on the shared engine, the
-    memo is an oracle and is bounded: each single-fault and each orbit entry
-    is what a fresh engine computes, at most ``n_paulis`` faults per site are
-    stored, and the idle tables hold exactly the noiseless orbits of the
-    stored faults' results, up to clean, a logical flip or a pair seen
-    before.  The trials run through ``run_trial``, since an estimate runs
-    them in the C kernel, which does not use the memo."""
-    circ = circuit_for(name, variant)
-    memo = make_engine(circ, "frame")
-    for i, p in enumerate(ps):
-        for t in range(20):
-            run_trial(TrialConfig(p, trial_seed(5, i, t)), memo)
-    fresh = _FrameEngine(circ)
-    n = circ.n_qubits
-    closure = {"a": set(), "b": set()}
-    for selector in "ab":
-        faults = memo._fresh[selector]
-        assert 0 < len(faults) <= sum(site.n_paulis
-                                      for site in circ.error_sites(selector))
-        for key, out in faults.items():
-            event = _fault_event(circ, selector, key)
-            assert out == fresh._transition(selector, 0, 0, [event])
-            fx, fz, cls = out
-            at = selector
-            while cls is Classification.RESIDUAL:
-                at = "b" if at == "a" else "a"
-                frame = fx << n | fz
-                if frame in closure[at]:
-                    break
-                closure[at].add(frame)
-                fx, fz, cls = fresh._transition(at, fx, fz, ())
-        for key, out in memo._idle[selector].items():
-            assert out == fresh._transition(selector, key >> n, key & ((1 << n) - 1), ())
-    assert closure["a"] | closure["b"]
-    assert {s: set(memo._idle[s]) for s in "ab"} == closure
-    assert memo.memo_sizes() == {
-        "fault_entries": len(memo._fresh["a"]) + len(memo._fresh["b"]),
-        "fault_slots": sum(site.n_paulis for s in "ab" for site in circ.error_sites(s)),
-        "orbit_entries": len(closure["a"]) + len(closure["b"]),
-    }
-
-
 def test_make_engine_keeps_one_engine_per_circuit():
     """``make_engine`` hands every caller the one engine of a circuit
-    object, so trials warm it; an engine built directly starts empty."""
+    object."""
     circ = circuit_for("bf", Variant.PERFECT)
     for name in ("frame", "tableau"):
         engine = make_engine(circ, name)
@@ -472,11 +429,6 @@ def test_make_engine_keeps_one_engine_per_circuit():
     other = build_circuit("bf", Variant.PERFECT)
     assert make_engine(other, "frame") is not make_engine(circ, "frame")
     assert make_engine(other, "frame").circuit is other
-    run_trial(TrialConfig(0.05, seed=1), engine=make_engine(circ, "frame"))
-    assert make_engine(circ, "frame").memo_sizes()["fault_entries"] > 0
-    engine = _FrameEngine(circ)
-    assert engine.memo_sizes()["fault_entries"] == engine.memo_sizes()["orbit_entries"] == 0
-    assert not engine._results
 
 
 _FRESH_ESTIMATE = """
