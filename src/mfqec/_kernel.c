@@ -6,7 +6,9 @@
  * trial ends on the same cycle.  Each trial is seeded here, by numpy's own
  * SeedSequence hash and PCG64 seeding reproduced word for word, and a call
  * runs a whole block of trials.  Python computes every constant that needs
- * exp or lgamma (montecarlo._kernel_trials); this file only calls log1p.
+ * exp or lgamma (montecarlo._kernel_trials); this file only calls log and
+ * log1p, the second only where the first cannot certify a clean run's
+ * length (clean_run).
  *
  * Each compiled cycle carries two read-only tables, filled once by
  * mfqec_fill_tables when the circuit is packed: the result of every single
@@ -380,6 +382,10 @@ static inline uint64_t *idle_row(const cycle_t *cy, uint64_t fx, uint64_t fz)
 static void choose_sites(pcg64_t *rng, int64_t n, int64_t k, int64_t *out,
                          unsigned char *mark)
 {
+    if (k == 1) { /* Floyd's one draw, integers(n), and no shuffle */
+        out[0] = bounded(rng, (uint64_t)n);
+        return;
+    }
     for (int64_t j = n - k, m = 0; j < n; j++, m++) {
         int64_t v = bounded(rng, (uint64_t)j + 1);
         if (mark[v])
@@ -432,10 +438,58 @@ static int run_cycle(const circuit_t *c, const cycle_t *cy, pcg64_t *rng,
     return (int)row[2];
 }
 
-/* One trial from `rng`.  Returns the cycle of the logical flip (>= 1), or 0
- * when the trial reaches max_cycles first (censored). */
-static int64_t skip_trial(const circuit_t *c, const rate_t *r, int64_t max_cycles,
-                          pcg64_t *rng)
+/* errors.sample_clean_run_length's floor(log1p(-u) / log_clean) from its
+ * draw u, as a double; inv is 1 / log_clean.
+ *
+ * u = k·2**-53, so 1 - u is exact, and log(1 - u) and log1p(-u) are each
+ * within an ulp or two of the same real number.  So y = log(1 - u) · inv is
+ * within 8·2**-53, relative, of the quotient Python floors: two libm
+ * results and three roundings (the quotient's, inv's and the product's).
+ * When y·(1 - 2**-40) and y·(1 + 2**-40) truncate to the same integer m,
+ * that interval, 1000 times wider, holds the quotient too, so its floor is
+ * m.  The 0 <= y < 2**62 test first keeps the truncations defined and sends
+ * NaN and ±inf on (a zero or subnormal log_clean, whose inverse overflows).
+ * Otherwise, on a u whose quotient is within 2**-40 of an integer, relative,
+ * the quotient itself is computed, as it always was: a share of about
+ * 2**-39 times the mean run length of all draws.  *fallbacks, when not
+ * NULL, counts those. */
+static inline double clean_run(double u, const rate_t *r, double inv,
+                               int64_t *fallbacks)
+{
+    double y = log(1.0 - u) * inv;
+    if (y >= 0.0 && y < 0x1p62) {
+        int64_t lo = (int64_t)(y * (1.0 - 0x1p-40));
+        if (lo == (int64_t)(y * (1.0 + 0x1p-40)))
+            return (double)lo;
+    }
+    if (fallbacks)
+        ++*fallbacks;
+    return floor(log1p(-u) / r->log_clean);
+}
+
+/* errors.sample_error_count_given_any from its draw u: bisect_right of u
+ * in the n entries of count_cdf, plus one.  bisect_right is 0, one error,
+ * exactly when u < count_cdf[0], the common case. */
+static inline int64_t error_count(double u, const rate_t *r, int64_t n)
+{
+    if (u < r->count_cdf[0])
+        return 1;
+    int64_t lo = 0, hi = n;
+    while (lo < hi) {
+        int64_t mid = (lo + hi) / 2;
+        if (u < r->count_cdf[mid])
+            hi = mid;
+        else
+            lo = mid + 1;
+    }
+    return lo + 1;
+}
+
+/* One trial from `rng`, inv being 1 / r->log_clean.  Returns the cycle of
+ * the logical flip (>= 1), or 0 when the trial reaches max_cycles first
+ * (censored). */
+static int64_t skip_trial(const circuit_t *c, const rate_t *r, double inv,
+                          int64_t max_cycles, pcg64_t *rng)
 {
     const int64_t n = c->n_sites;
     int64_t chosen[n];      /* 9·N bytes of stack: 6 kB at surface17's N = 675 */
@@ -448,22 +502,11 @@ static int64_t skip_trial(const circuit_t *c, const rate_t *r, int64_t max_cycle
     while (t < max_cycles) {
         int64_t k;
         if (clean) {
-            /* errors.sample_clean_run_length, then t += length */
-            double run = floor(log1p(-next_double(rng)) / r->log_clean);
+            double run = clean_run(next_double(rng), r, inv, NULL);
             if (run >= 9223372036854775808.0 || (int64_t)run >= max_cycles - t)
                 break;
             t += (int64_t)run;
-            /* errors.sample_error_count_given_any: bisect_right + 1 */
-            double u = next_double(rng);
-            int64_t lo = 0, hi = n;
-            while (lo < hi) {
-                int64_t mid = (lo + hi) / 2;
-                if (u < r->count_cdf[mid])
-                    hi = mid;
-                else
-                    lo = mid + 1;
-            }
-            k = lo + 1;
+            k = error_count(next_double(rng), r, n);
         } else {
             k = binomial(rng, n, r);
         }
@@ -487,12 +530,13 @@ void mfqec_skip_block(const circuit_t *c, const rate_t *r, int64_t max_cycles,
                       const uint64_t *indices, int64_t n, int64_t *out)
 {
     uint32_t entropy[n_prefix + 2];
+    const double inv = 1.0 / r->log_clean;
     pcg64_t rng;
 
     memcpy(entropy, prefix, sizeof(uint32_t) * (size_t)n_prefix);
     for (int64_t i = 0; i < n; i++) {
         trial_rng(&rng, entropy, n_prefix, indices[i]);
-        out[i] = skip_trial(c, r, max_cycles, &rng);
+        out[i] = skip_trial(c, r, inv, max_cycles, &rng);
     }
 }
 
@@ -607,6 +651,22 @@ void mfqec_draws(uint64_t state_hi, uint64_t state_lo, uint64_t inc_hi,
         else
             out[i] = (double)bounded(&rng, (uint64_t)program[i]);
     }
+}
+
+/* Test hook: for each of the m draws us[i], the clean run length skip_trial
+ * takes from it (runs[i], clean_run's double) and the error count
+ * (counts[i]), at the constants of `r`, whose count_cdf has n entries.
+ * Returns how many run lengths took clean_run's fallback. */
+int64_t mfqec_clean_draws(const rate_t *r, int64_t n, const double *us, int64_t m,
+                          double *runs, int64_t *counts)
+{
+    const double inv = 1.0 / r->log_clean;
+    int64_t fallbacks = 0;
+    for (int64_t i = 0; i < m; i++) {
+        runs[i] = clean_run(us[i], r, inv, &fallbacks);
+        counts[i] = error_count(us[i], r, n);
+    }
+    return fallbacks;
 }
 
 /* Test hook: SeedSequence(entropy).generate_state(n_words, uint32). */

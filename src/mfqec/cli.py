@@ -10,9 +10,11 @@ Subcommands
     line, a final summary row carrying the threshold estimate.  Exit
     status: 0 on success, 1 on configuration errors, 2 when the sweep
     completed but the curve never crossed the identity line (the point
-    data is still written).  A run that is interrupted, or whose pool
-    worker crashes, writes the points finished so far, flagged with a
-    ``# partial=true`` header comment, and exits 1.
+    data is still written).  A run that is interrupted, whose pool worker
+    crashes, or whose trials raise an exception (in this process, a worker
+    thread or a worker process) writes the points finished so far, flagged
+    with a ``# partial=true`` header comment, names why in the summary's
+    ``error`` and exits 1.
 
 ``plot``
     Convert a results CSV into per-curve two-column data files (p,
@@ -294,6 +296,9 @@ def run_command(args) -> int:
         stopped = "interrupted"
     except BrokenProcessPool as exc:
         stopped = f"a worker process crashed: {exc}"
+        progress(f"mfqec run: {stopped}")
+    except Exception as exc:  # raised by a point's trials, on any worker
+        stopped = f"{type(exc).__name__}: {exc}"
         progress(f"mfqec run: {stopped}")
 
     summary: dict = {

@@ -16,7 +16,13 @@ Python trial loop reads the same tables (``read_tables``), and
 The library is built on first use with ``gcc -O2 -shared -fPIC
 -ffp-contract=off``: no fast-math, no ``-march=native`` and no contraction
 into FMA, so that every double is rounded as Python rounds it and the trial
-consumes the RNG stream exactly as the Python loop does.  The library goes
+consumes the RNG stream exactly as the Python loop does.  The kernel calls
+libm's ``log`` and ``log1p``: a clean run's length is
+``floor(log1p(-u) / log_clean)`` in Python, and the kernel takes it from the
+cheaper ``log(1 - u)`` times ``1 / log_clean`` whenever a window 2**-40
+wide, relative, around that product holds no integer, which certifies the
+floor; otherwise it computes Python's quotient (``mfqec_clean_draws`` is
+the test hook).  The library goes
 to ``__pycache__`` next to this file, named by a hash of the source and the
 flags; it is compiled to a temporary name and moved into place with
 ``os.replace``, so that processes building at once (pool workers) all end
@@ -212,20 +218,22 @@ def resample_sums(lib, bit_generator, values, sizes, n_resamples: int):
     return out
 
 
-def library_path(directory) -> Path:
-    """Where the library built from today's source and flags lives."""
-    digest = hashlib.sha256(SOURCE.read_bytes() + " ".join(CFLAGS).encode())
+def library_path(directory, source=SOURCE) -> Path:
+    """Where the library built from ``source`` as it is today and the
+    flags lives."""
+    digest = hashlib.sha256(Path(source).read_bytes() + " ".join(CFLAGS).encode())
     return Path(directory) / f"_kernel-{digest.hexdigest()[:16]}.so"
 
 
-def build(directory) -> Path:
-    """The library in ``directory``, compiled first if it is not there."""
-    path = library_path(directory)
+def build(directory, source=SOURCE) -> Path:
+    """The library of ``source`` in ``directory``, compiled first if it is
+    not there."""
+    path = library_path(directory, source)
     if not path.exists():
         path.parent.mkdir(parents=True, exist_ok=True)
         tmp = path.with_name(f"{path.name}.{os.getpid()}.tmp")
         try:
-            subprocess.run(["gcc", *CFLAGS, "-o", str(tmp), str(SOURCE), "-lm"],
+            subprocess.run(["gcc", *CFLAGS, "-o", str(tmp), str(source), "-lm"],
                            check=True, capture_output=True, text=True, timeout=120)
             os.replace(tmp, path)
         finally:
@@ -233,10 +241,11 @@ def build(directory) -> Path:
     return path
 
 
-def load(directory):
-    """``ctypes`` handle of the library in ``directory`` (built if needed),
-    with the prototypes of its entry points and its test hooks."""
-    lib = ctypes.CDLL(str(build(directory)))
+def load(directory, source=SOURCE):
+    """``ctypes`` handle of the library of ``source`` in ``directory``
+    (built if needed), with the prototypes of its entry points and its test
+    hooks."""
+    lib = ctypes.CDLL(str(build(directory, source)))
     u32p, u64p = ctypes.POINTER(_u32), ctypes.POINTER(_u64)
     u64a, i64a = (np.ctypeslib.ndpointer(t, flags="C") for t in (np.uint64, np.int64))
     for name, argtypes in [
@@ -246,6 +255,8 @@ def load(directory):
         ("mfqec_fill_tables", [ctypes.POINTER(Circuit)]),
         ("mfqec_draws", [_u64, _u64, _u64, _u64, ctypes.POINTER(Rate), _i64,
                          ctypes.POINTER(_i64), _i64, ctypes.POINTER(_f64)]),
+        ("mfqec_clean_draws", [ctypes.POINTER(Rate), _i64, ctypes.POINTER(_f64), _i64,
+                               ctypes.POINTER(_f64), ctypes.POINTER(_i64)]),
         ("mfqec_seed_state", [u32p, _i64, _i64, u32p]),
         ("mfqec_pcg64_state", [_u64, u64p]),
         ("mfqec_trial_states", [u32p, _i64, u64p, _i64, u64p]),
@@ -253,7 +264,7 @@ def load(directory):
         func = getattr(lib, name)
         func.argtypes = argtypes
         func.restype = None
-    lib.mfqec_fill_tables.restype = _i64
+    lib.mfqec_fill_tables.restype = lib.mfqec_clean_draws.restype = _i64
     return lib
 
 

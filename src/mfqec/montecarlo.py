@@ -753,6 +753,19 @@ def aggregate_rate_estimate(p, failure_cycles, n_censored: int, rng) -> SweepPoi
     )
 
 
+def kernel_rate(p, n_sites: int):
+    """The kernel's ``Rate`` at (p, N): the constants of a trial's clean
+    runs, error counts and binomial draws, from the Python samplers' own
+    helpers, so a rejected p raises their error, and a p in numpy's BTPE
+    range ``_inversion_constants``'s ``ValueError``."""
+    from . import kernel
+
+    bin_p = min(p, 1.0 - p)
+    return kernel.pack_rate(clean_cycle_log_probability(p, n_sites),
+                            error_count_cdf(p, n_sites), bin_p,
+                            *_inversion_constants(n_sites, bin_p), p > 0.5)
+
+
 def _kernel_trials(eng, p, max_cycles):
     """``run_trial(TrialConfig(p, trial_seed(master_seed, point_index, t),
     max_cycles), eng)`` in the C kernel for a block of trials, as a function
@@ -778,19 +791,14 @@ def _kernel_trials(eng, p, max_cycles):
     log_clean = clean_cycle_log_probability(p, n_sites)
     if math.isinf(math.log1p(-(1.0 - 2**-53)) / log_clean):
         return None  # int() of an infinite run length raises in Python
-    bin_p = min(p, 1.0 - p)
-    try:
-        inversion = _inversion_constants(n_sites, bin_p)
-    except ValueError:  # the BTPE range
+    if not _inverts(n_sites, p):
         return None
     from . import kernel
 
     lib = kernel.library()
     if lib is None:
         return None
-    rate = kernel.pack_rate(log_clean, error_count_cdf(p, n_sites), bin_p,
-                            *inversion, p > 0.5)
-    args = (lib, eng.kernel_circuit(), rate, max_cycles)
+    args = (lib, eng.kernel_circuit(), kernel_rate(p, n_sites), max_cycles)
 
     def block(master_seed, point_index, indices):
         return kernel.skip_block(*args, kernel.seed_prefix(master_seed, point_index),

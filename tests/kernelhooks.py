@@ -5,6 +5,7 @@ from __future__ import annotations
 import ctypes
 import shutil
 
+import numpy as np
 import pytest
 
 from mfqec import kernel, montecarlo
@@ -69,3 +70,20 @@ def trial_states(lib, master_seed, point_index, indices) -> list:
     lib.mfqec_trial_states(*kernel.seed_prefix(master_seed, point_index),
                            (ctypes.c_uint64 * n)(*indices), n, out)
     return [out[4 * i:4 * i + 4] for i in range(n)]
+
+
+def clean_draws(lib, rate, us):
+    """``(runs, counts, fallbacks)`` of ``mfqec_clean_draws``: for each draw
+    u of the list ``us``, the clean run length the kernel takes from it (a
+    float, as the kernel floors it) and the error count, at the constants
+    of the ``kernel.Rate`` ``rate``, and how many run lengths took the
+    fallback past the certified window."""
+    n = len(rate._keep)
+    us = np.asarray(us, dtype=np.float64)
+    runs = np.empty(len(us), dtype=np.float64)
+    counts = np.empty(len(us), dtype=np.int64)
+    f64p, i64p = ctypes.POINTER(ctypes.c_double), ctypes.POINTER(ctypes.c_int64)
+    fallbacks = lib.mfqec_clean_draws(ctypes.byref(rate), n, us.ctypes.data_as(f64p),
+                                      len(us), runs.ctypes.data_as(f64p),
+                                      counts.ctypes.data_as(i64p))
+    return runs.tolist(), counts.tolist(), fallbacks

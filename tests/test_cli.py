@@ -383,6 +383,55 @@ def test_interrupt_on_worker_threads_writes_partial_csv(tmp_path, capsys, monkey
     assert [float(row["p"]) for row in rows] == [0.005]
 
 
+def _fail_on_point_2(args):
+    """Pool entry point that raises in its worker process on grid point 2."""
+    if args[6] == 2:  # point_index
+        raise RuntimeError("trials failed on point 2")
+    return _TRIAL_BLOCK(args)
+
+
+@pytest.mark.parametrize("where", ["threads", "processes"])
+def test_trial_exception_writes_partial_csv(where, tmp_path, capsys, monkeypatch):
+    """An exception raised by the trials of grid point 2, in a kernel slice
+    on a worker thread or in a Python-loop slice in a worker process, ends
+    the run as a crashed worker does: exit status 1, the two finished
+    points in a partial CSV, the exception named in the summary, no
+    traceback, and no worker thread left behind."""
+    if where == "threads":
+        if kernel_or_none() is None:
+            pytest.skip("no C compiler on PATH")
+        real = montecarlo._kernel_trials
+
+        def failing_kernel_trials(eng, p, max_cycles):
+            block = real(eng, p, max_cycles)
+
+            def failing(master_seed, point_index, indices):
+                if point_index == 2:
+                    raise RuntimeError("trials failed on point 2")
+                return block(master_seed, point_index, indices)
+
+            return failing
+
+        monkeypatch.setattr(montecarlo, "_kernel_trials", failing_kernel_trials)
+    else:
+        monkeypatch.setattr(montecarlo, "_kernel_trials", lambda *a: None)
+        monkeypatch.setattr(montecarlo, "_run_trial_block", _fail_on_point_2)
+    baseline = threading.active_count()
+    rc, out = _run(tmp_path, "--workers", "2", grid=("0.005", "0.01", "0.05"))
+    captured = capsys.readouterr()
+    assert threading.active_count() == baseline
+    assert rc == int(ExitStatus.CONFIG_ERROR)
+    summary = json.loads(captured.out.strip())
+    assert summary["partial"] is True
+    assert summary["points"] == 2
+    assert summary["error"] == "RuntimeError: trials failed on point 2"
+    assert "Traceback" not in captured.err
+    assert out.read_text().splitlines()[0] == "# partial=true"
+    header, rows = _read_rows(out)
+    assert header == CSV_HEADER
+    assert [float(row["p"]) for row in rows] == [0.005, 0.01]
+
+
 # ---------------------------------------------------------------------------
 # plot subcommand
 # ---------------------------------------------------------------------------

@@ -13,12 +13,14 @@ runs a cycle's ops, is the oracle of the kernel's tables, row for row.
 import concurrent.futures
 import hashlib
 import json
+import math
 import os
 import shutil
 import subprocess
 import sys
 import threading
 import warnings
+from bisect import bisect_right
 
 import numpy as np
 import pytest
@@ -26,7 +28,12 @@ import pytest
 from mfqec import kernel, montecarlo
 from mfqec.circuits import Variant
 from mfqec.codes import BIT_FLIP_CODE
-from mfqec.errors import ErrorChannel, ErrorEvent
+from mfqec.errors import (
+    ErrorChannel,
+    ErrorEvent,
+    clean_cycle_log_probability,
+    error_count_cdf,
+)
 from mfqec.montecarlo import (
     Classification,
     TrialConfig,
@@ -41,7 +48,13 @@ from mfqec.montecarlo import (
     trial_seed,
 )
 from mfqec.threshold import SweepPoint, find_threshold_crossing, iter_sweep
-from kernelhooks import kernel_library, pcg64_state, seed_state, trial_states
+from kernelhooks import (
+    clean_draws,
+    kernel_library,
+    pcg64_state,
+    seed_state,
+    trial_states,
+)
 
 SRC = os.path.dirname(os.path.dirname(montecarlo.__file__))
 
@@ -349,6 +362,60 @@ def test_block_seeding_matches_trial_seed():
             expected = [list(kernel.state_words(np.random.PCG64(
                 trial_seed(master, point, t)).state)) for t in indices]
             assert trial_states(lib, master, point, indices) == expected, (master, point)
+
+
+# (code, variant, p) of the benchmark's workloads; bf-sweep's grid is
+# represented by a point near criterion 1's threshold
+WORKLOAD_RATES = [("surface17", Variant.PERFECT, 4.2e-5),
+                  ("surface17", Variant.SIMPLIFIED, 1.3e-4),
+                  ("bf", Variant.SIMPLIFIED, 0.0139)]
+
+
+def _boundary_draws(log_clean, cdf) -> list:
+    """Draws u = k·2**-53 at the edges of the kernel's shortcuts: 64 steps
+    of the grid on either side of each u whose clean run is exactly m
+    cycles, -expm1(m·log_clean) for m = 1 ... 2000 (clamped to the grid),
+    the grid's ends, and count_cdf[0] and the draw just below it."""
+    edges = [round(-math.expm1(m * log_clean) * 2**53) for m in range(1, 2001)]
+    ks = {min(max(k + d, 0), 2**53 - 1) for k in edges for d in range(-64, 65)}
+    us = {k * 2**-53 for k in ks} | {0.0, 1.0 - 2**-53, cdf[0], math.nextafter(cdf[0], 0.0)}
+    return sorted(us)
+
+
+@pytest.mark.parametrize("name,variant,p", WORKLOAD_RATES)
+def test_clean_draws_match_the_python_samplers(name, variant, p):
+    """The kernel's clean run length and error count of a draw u equal
+    ``sample_clean_run_length``'s ``floor(log1p(-u) / log_clean)`` and
+    ``sample_error_count_given_any``'s ``bisect_right(cdf, u) + 1`` at the
+    edges of its shortcuts, the certified ``log`` window and the one-compare
+    count.  Draws near an integer run length take the fallback."""
+    lib = kernel_library()
+    n_sites = montecarlo._site_count(circuit_for(name, variant))
+    log_clean = clean_cycle_log_probability(p, n_sites)
+    cdf = error_count_cdf(p, n_sites)
+    us = _boundary_draws(log_clean, cdf)
+    assert all(u * 2**53 == int(u * 2**53) for u in us)  # the draws' grid
+    runs, counts, fallbacks = clean_draws(lib, montecarlo.kernel_rate(p, n_sites), us)
+    assert runs == [math.floor(math.log1p(-u) / log_clean) for u in us]
+    assert counts == [bisect_right(cdf, u) + 1 for u in us]
+    assert 1 <= fallbacks < len(us) // 2, (fallbacks, len(us))
+
+
+@pytest.mark.parametrize("log_clean", [0.0, -0.0, -5e-324, -1e-310])
+def test_clean_draws_of_a_degenerate_rate_take_the_fallback(log_clean):
+    """A zero or subnormal log_clean, whose inverse overflows, puts the
+    window's product out of range (NaN or inf) or past 2**62: every run
+    length but u = 0's is the fallback's quotient, in IEEE arithmetic."""
+    lib = kernel_library()
+    cdf = error_count_cdf(4.2e-5, 675)
+    us = [0.0, 2**-53, 0.5, 1.0 - 2**-53]
+    rate = kernel.pack_rate(log_clean, cdf, 0.5, 0.5, 0.5**675, 1, False)
+    runs, _, fallbacks = clean_draws(lib, rate, us)
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        expected = [float(np.floor(np.float64(math.log1p(-u)) / np.float64(log_clean)))
+                    for u in us]
+    assert np.array_equal(runs, expected, equal_nan=True), (runs, expected)
+    assert fallbacks >= len(us) - 1
 
 
 def test_kernel_source_compiles_without_warnings(tmp_path):

@@ -10,6 +10,7 @@ import subprocess
 import sys
 
 import numpy as np
+import pytest
 
 import test_acceptance
 from kernelhooks import kernel_or_none
@@ -98,6 +99,40 @@ def _git_copy_of_the_tree(into):
            "-c", "commit.gpgsign=false"]
     for args in (["init", "-q"], ["add", "-A"], ["commit", "-q", "-m", "tree"]):
         subprocess.run(git + args, cwd=into, check=True, capture_output=True)
+
+
+def test_kernel_ab_times_head_against_itself(tmp_path):
+    """Two rounds of HEAD's kernel against the same source: equal outputs,
+    and per workload a ratio of times with its quartiles."""
+    if kernel_or_none() is None:
+        pytest.skip("no C compiler on PATH")
+    repo = tmp_path / "repo"
+    _git_copy_of_the_tree(repo)
+    argv = [sys.executable, str(repo / "scripts" / "kernel_ab.py"), "--base", "HEAD",
+            "--rounds", "2"]
+    out = subprocess.run(argv, capture_output=True, text=True, check=True,
+                         timeout=600).stdout
+    report = json.loads(out.strip().splitlines()[-1])
+    assert report["rounds"] == 2 and report["base"] == "HEAD"
+    assert list(report["workloads"]) == ["s17-perfect-deep", "s17-simplified-stuck",
+                                         "bf-sweep"]
+    for entry in report["workloads"].values():
+        assert 0 < entry["ratio_q1"] <= entry["ratio_median"] <= entry["ratio_q3"]
+        assert entry["base_ms_median"] > 0 and entry["change_ms_median"] > 0
+
+
+def test_kernel_ab_compares_the_shared_definitions():
+    """A kernel whose rate_t differs, even by a field's name, is refused;
+    comments and spacing are not a difference."""
+    script = _load("kernel_ab")
+    source = open(os.path.join(SCRIPTS, os.pardir, "src", "mfqec", "_kernel.c")).read()
+    defs = script.shared_definitions(source)
+    assert all(defs.values()) and set(defs) == {"cycle_t", "circuit_t", "rate_t",
+                                                "mfqec_skip_block"}
+    respaced = source.replace("double log_clean;", "double  log_clean; /* x */")
+    assert script.shared_definitions(respaced) == defs
+    renamed = script.shared_definitions(source.replace("log_clean;", "log_dirty;"))
+    assert [k for k in defs if renamed[k] != defs[k]] == ["rate_t"]
 
 
 def test_bench_pair_writes_the_pair_record(tmp_path):
