@@ -14,7 +14,7 @@ Subcommands
     crashes, or whose trials raise an exception (in this process, a worker
     thread or a worker process) writes the points finished so far, flagged
     with a ``# partial=true`` header comment, names why in the summary's
-    ``error`` and exits 1.
+    ``error`` (an exception's traceback goes to stderr) and exits 1.
 
 ``plot``
     Convert a results CSV into per-curve two-column data files (p,
@@ -298,7 +298,10 @@ def run_command(args) -> int:
         stopped = f"a worker process crashed: {exc}"
         progress(f"mfqec run: {stopped}")
     except Exception as exc:  # raised by a point's trials, on any worker
+        import traceback
+
         stopped = f"{type(exc).__name__}: {exc}"
+        progress(traceback.format_exc().rstrip())
         progress(f"mfqec run: {stopped}")
 
     summary: dict = {

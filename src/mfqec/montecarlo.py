@@ -792,7 +792,7 @@ def _kernel_trials(eng, p, max_cycles):
     if math.isinf(math.log1p(-(1.0 - 2**-53)) / log_clean):
         return None  # int() of an infinite run length raises in Python
     if not _inverts(n_sites, p):
-        return None
+        return None  # numpy's BTPE range
     from . import kernel
 
     lib = kernel.library()

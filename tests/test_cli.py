@@ -395,8 +395,8 @@ def test_trial_exception_writes_partial_csv(where, tmp_path, capsys, monkeypatch
     """An exception raised by the trials of grid point 2, in a kernel slice
     on a worker thread or in a Python-loop slice in a worker process, ends
     the run as a crashed worker does: exit status 1, the two finished
-    points in a partial CSV, the exception named in the summary, no
-    traceback, and no worker thread left behind."""
+    points in a partial CSV, the exception named in the summary (its
+    traceback goes to stderr), and no worker thread left behind."""
     if where == "threads":
         if kernel_or_none() is None:
             pytest.skip("no C compiler on PATH")
@@ -425,7 +425,8 @@ def test_trial_exception_writes_partial_csv(where, tmp_path, capsys, monkeypatch
     assert summary["partial"] is True
     assert summary["points"] == 2
     assert summary["error"] == "RuntimeError: trials failed on point 2"
-    assert "Traceback" not in captured.err
+    assert captured.err.rstrip().endswith("mfqec run: RuntimeError: trials failed on point 2")
+    assert "Traceback" in captured.err
     assert out.read_text().splitlines()[0] == "# partial=true"
     header, rows = _read_rows(out)
     assert header == CSV_HEADER
