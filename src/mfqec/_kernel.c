@@ -469,7 +469,8 @@ static inline double clean_run(double u, const rate_t *r, double inv,
 
 /* errors.sample_error_count_given_any from its draw u: bisect_right of u
  * in the n entries of count_cdf, plus one.  bisect_right is 0, one error,
- * exactly when u < count_cdf[0], the common case. */
+ * exactly when u < count_cdf[0]: a share count_cdf[0] of noisy cycles,
+ * 0.986 at surface17's benchmark rates and 0.51-0.94 on bf's sweep grid. */
 static inline int64_t error_count(double u, const rate_t *r, int64_t n)
 {
     if (u < r->count_cdf[0])

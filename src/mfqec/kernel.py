@@ -241,11 +241,10 @@ def build(directory, source=SOURCE) -> Path:
     return path
 
 
-def load(directory, source=SOURCE):
-    """``ctypes`` handle of the library of ``source`` in ``directory``
-    (built if needed), with the prototypes of its entry points and its test
-    hooks."""
-    lib = ctypes.CDLL(str(build(directory, source)))
+def load(directory):
+    """``ctypes`` handle of the library in ``directory`` (built if needed),
+    with the prototypes of its entry points and its test hooks."""
+    lib = ctypes.CDLL(str(build(directory)))
     u32p, u64p = ctypes.POINTER(_u32), ctypes.POINTER(_u64)
     u64a, i64a = (np.ctypeslib.ndpointer(t, flags="C") for t in (np.uint64, np.int64))
     for name, argtypes in [
