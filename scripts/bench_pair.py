@@ -11,6 +11,10 @@ the pair's seed.  The ``--seed`` values are used in turn, each for two
 consecutive pairs, one with each side first, so that no seed is tied to
 one order.  The change side is this
 checkout as it stands, uncommitted edits included (``change.dirty``).
+Before and after every run, a digest of the side's ``src/`` is taken
+(``src_digest``) and kept with the run; the record's ``src_changed`` is
+true, and a warning goes to stderr, when a side's runs did not all see one
+``src/``, so that a record cannot hide an edit made while it ran.
 
 Writes ``BENCH_<label>.json``: per workload and side, the median and
 quartiles of the benchmark's end-to-end metrics (``BENCHMARK.json``,
@@ -21,6 +25,7 @@ git revisions and the CPU count.  Progress goes to stderr.
 from __future__ import annotations
 
 import argparse
+import hashlib
 import io
 import json
 import os
@@ -52,6 +57,17 @@ def export_base(rev: str, into: Path) -> None:
     shutil.rmtree(into / "perfbench", ignore_errors=True)
     shutil.copytree(ROOT / "perfbench", into / "perfbench",
                     ignore=shutil.ignore_patterns("out", "__pycache__"))
+
+
+def src_digest(root: Path) -> str:
+    """sha256 of every file under ``root``/src, its path and bytes, in path
+    order; ``__pycache__`` (the built kernel and bytecode) is left out."""
+    digest = hashlib.sha256()
+    for path in sorted((root / "src").rglob("*")):
+        if path.is_file() and "__pycache__" not in path.parts:
+            digest.update(path.relative_to(root).as_posix().encode() + b"\0")
+            digest.update(path.read_bytes())
+    return digest.hexdigest()
 
 
 def run_once(root: Path, workload: str, seed: int, seconds: float, trials) -> dict:
@@ -125,6 +141,7 @@ def main(argv=None) -> int:
         "trials": args.trials,
         "workloads": {},
     }
+    digests = {side: set() for side in SIDES}
     with tempfile.TemporaryDirectory(prefix="bench_pair-") as tmp:
         roots = {"base": Path(tmp), "change": ROOT}
         export_base(record["base"]["rev"], roots["base"])
@@ -133,7 +150,10 @@ def main(argv=None) -> int:
             for pair in range(args.pairs):
                 seed = seeds[pair // 2 % len(seeds)]
                 for order, side in enumerate(SIDES if pair % 2 == 0 else SIDES[::-1]):
+                    before = src_digest(roots[side])
                     run = run_once(roots[side], workload, seed, args.seconds, args.trials)
+                    run["src"] = [before, src_digest(roots[side])]
+                    digests[side].update(run["src"])
                     runs.append({"pair": pair, "side": side, "order": order,
                                  "seed": seed, **run})
                     print(f"{workload} pair {pair} {side}: correct={run['correct']} "
@@ -141,6 +161,12 @@ def main(argv=None) -> int:
                           file=sys.stderr, flush=True)
             record["workloads"][workload] = {
                 **summarize(runs, spec["end_to_end"]), "runs": runs}
+    for side in SIDES:
+        record[side]["src_digests"] = sorted(digests[side])
+    record["src_changed"] = any(len(d) > 1 for d in digests.values())
+    if record["src_changed"]:
+        print("bench_pair: src/ changed during the runs; see each run's src digests",
+              file=sys.stderr)
     out = args.out_dir / f"BENCH_{args.label}.json"
     out.write_text(json.dumps(record, indent=1) + "\n", encoding="utf-8")
     print(out)

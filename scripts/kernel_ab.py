@@ -1,4 +1,4 @@
-"""A/B timing of the C trial kernel alone: REV's ``_kernel.c`` against this
+"""A/B timing of the C kernel alone: REV's ``_kernel.c`` against this
 checkout's, in one process.
 
     python3 scripts/kernel_ab.py --base HEAD~1 --rounds 160
@@ -6,19 +6,27 @@ checkout's, in one process.
 Compiles ``REV:src/mfqec/_kernel.c`` and this checkout's ``_kernel.c``
 (uncommitted edits included) with ``kernel.CFLAGS`` into a temporary
 directory and loads both libraries.  Both read one packed circuit and rate,
-packed and given their tables by this checkout's ``mfqec.kernel``, so the
-script refuses to run (exit 2) when the two sources define ``cycle_t``,
-``circuit_t``, ``rate_t`` or the parameters of ``mfqec_skip_block``
-differently, comments and spacing aside.
+packed and given their tables by this checkout's ``mfqec.kernel``, and are
+called with one argument list, so the script refuses to run (exit 2) when
+the two sources define ``cycle_t``, ``circuit_t``, ``rate_t`` or the
+parameters of ``mfqec_skip_block`` or ``mfqec_resample_sums`` differently,
+comments and spacing aside.
 
 Round r calls each library's ``mfqec_skip_block`` once on one point of each
 benchmark workload (``POINTS``), its trials seeded by (``SEED``, r) as
-``estimate_logical_error_rate`` seeds point r, alternating by round which
-library goes first.  Any output that differs between the two ends the run
-(exit 1).  Prints one JSON line: per workload, the median and quartiles of
-the per-round time ratio change / base and each side's median
-milliseconds.  Times are raw ``perf_counter`` seconds; the ratio of two
-calls made back to back is what stays comparable on a shared host.
+``estimate_logical_error_rate`` seeds point r, and its
+``mfqec_resample_sums`` once on each of bf-sweep's bootstrap shapes
+(``RESAMPLES``: one point's 1,100 failure times, as a point's CI draws
+them, and eight such sets, as the threshold's bootstrap draws them, each
+1,000 times) from the generator a point's bootstrap starts from,
+``default_rng(SeedSequence([SEED, r]))``, alternating by round which library
+goes first.  Any output that differs between the two, a resample's final
+generator state included, ends the run (exit 1).  Prints one JSON line:
+per workload (``workloads``) and per resample shape (``resamples``), the
+median and quartiles of the per-round time ratio change / base and each
+side's median milliseconds.  Times are raw ``perf_counter`` seconds; the
+ratio of two calls made back to back is what stays comparable on a shared
+host.
 """
 from __future__ import annotations
 
@@ -29,6 +37,7 @@ import re
 import subprocess
 import sys
 import tempfile
+from functools import partial
 from pathlib import Path
 from time import perf_counter
 
@@ -53,11 +62,14 @@ POINTS = {
     "s17-simplified-stuck": ("surface17", "simplified", 1.3e-4, 60),
     "bf-sweep": ("bf", "simplified", 0.0139, 1100),
 }
+# shape: (sets, values per set, resamples) of one mfqec_resample_sums call
+RESAMPLES = {"1x1100": (1, 1100, 1000), "8x1100": (8, 1100, 1000)}
 MAX_CYCLES = 10_000_000  # estimate_logical_error_rate's default
 SEED = 42  # perfbench's seed
 SHARED = {name: r"typedef\s+struct\s*\{([^}]*)\}\s*" + name + r"\s*;"
           for name in ("cycle_t", "circuit_t", "rate_t")}
-SHARED["mfqec_skip_block"] = r"void\s+mfqec_skip_block\s*\(([^)]*)\)"
+SHARED.update({name: r"void\s+" + name + r"\s*\(([^)]*)\)"
+               for name in ("mfqec_skip_block", "mfqec_resample_sums")})
 
 
 def shared_definitions(source: str) -> dict:
@@ -70,6 +82,20 @@ def shared_definitions(source: str) -> dict:
         match = re.search(pattern, text)
         found[name] = " ".join(match.group(1).split()) if match else None
     return found
+
+
+def _trials(lib, r, circuit, rate, indices):
+    """``mfqec_skip_block``'s flip cycles for point r's trials ``indices``."""
+    return kernel.skip_block(lib, circuit, rate, MAX_CYCLES, kernel.seed_prefix(SEED, r),
+                             indices)
+
+
+def _resample(lib, r, values, sizes, n_resamples):
+    """``mfqec_resample_sums``'s sums and the final generator state, from
+    the generator point r's bootstrap starts from."""
+    rng = np.random.default_rng(np.random.SeedSequence([SEED, r]))
+    sums = kernel.resample_sums(lib, rng.bit_generator, values, sizes, n_resamples)
+    return sums.tobytes(), rng.bit_generator.state
 
 
 def main(argv=None) -> int:
@@ -86,7 +112,7 @@ def main(argv=None) -> int:
     differ = [name for name in SHARED if base_defs[name] != change_defs[name]]
     if differ:
         print(f"kernel_ab: {args.base} and this checkout define {', '.join(differ)} "
-              "differently; one packed circuit cannot serve both", file=sys.stderr)
+              "differently; one set of arguments cannot serve both", file=sys.stderr)
         return 2
 
     points = {}
@@ -94,6 +120,8 @@ def main(argv=None) -> int:
         eng = make_engine(circuit_for(code, Variant(variant)), "frame")
         rate = kernel_rate(p, _site_count(eng.circuit))
         points[name] = (eng.kernel_circuit(), rate, list(range(trials)))
+    n_values = max(n_sets * size for n_sets, size, _ in RESAMPLES.values())
+    cycles = np.random.default_rng(SEED).geometric(0.02, size=n_values).astype(np.int64)
 
     with tempfile.TemporaryDirectory() as tmp:
         base_path = Path(tmp) / "base" / "_kernel.c"
@@ -102,32 +130,43 @@ def main(argv=None) -> int:
         change = kernel.load(Path(tmp) / "change")
         # REV may lack this checkout's test hooks, which load() declares
         base = ctypes.CDLL(str(kernel.build(base_path.parent, base_path)))
-        base.mfqec_skip_block.argtypes = change.mfqec_skip_block.argtypes
-        base.mfqec_skip_block.restype = None
+        for func in ("mfqec_skip_block", "mfqec_resample_sums"):
+            getattr(base, func).argtypes = getattr(change, func).argtypes
+            getattr(base, func).restype = None
         libs = {"base": base, "change": change}
-        times = {name: {side: [] for side in libs} for name in points}
+        calls = {"workloads": {name: partial(_trials, circuit=circuit, rate=rate,
+                                             indices=indices)
+                               for name, (circuit, rate, indices) in points.items()},
+                 "resamples": {name: partial(_resample, values=cycles[:n_sets * size],
+                                             sizes=np.full(n_sets, size, dtype=np.int64),
+                                             n_resamples=n_resamples)
+                               for name, (n_sets, size, n_resamples) in RESAMPLES.items()}}
+        times = {group: {name: {side: [] for side in libs} for name in funcs}
+                 for group, funcs in calls.items()}
         for r in range(args.rounds):
-            prefix = kernel.seed_prefix(SEED, r)
             order = ("base", "change") if r % 2 == 0 else ("change", "base")
-            for name, (circuit, rate, indices) in points.items():
-                outs = {}
-                for side in order:
-                    start = perf_counter()
-                    outs[side] = kernel.skip_block(libs[side], circuit, rate, MAX_CYCLES,
-                                                   prefix, indices)
-                    times[name][side].append(perf_counter() - start)
-                if outs["base"] != outs["change"]:
-                    print(f"kernel_ab: {name} round {r}: the outputs differ",
-                          file=sys.stderr)
-                    return 1
+            for group, funcs in calls.items():
+                for name, call in funcs.items():
+                    outs = {}
+                    for side in order:
+                        start = perf_counter()
+                        outs[side] = call(libs[side], r)
+                        times[group][name][side].append(perf_counter() - start)
+                    if outs["base"] != outs["change"]:
+                        print(f"kernel_ab: {name} round {r}: the outputs differ",
+                              file=sys.stderr)
+                        return 1
 
-    report = {"base": args.base, "rounds": args.rounds, "seed": SEED, "workloads": {}}
-    for name, sides in times.items():
-        ratio = np.array(sides["change"]) / np.array(sides["base"])
-        q1, median, q3 = np.percentile(ratio, [25, 50, 75])
-        report["workloads"][name] = {
-            "ratio_median": median, "ratio_q1": q1, "ratio_q3": q3,
-            **{f"{side}_ms_median": 1e3 * float(np.median(t)) for side, t in sides.items()}}
+    report = {"base": args.base, "rounds": args.rounds, "seed": SEED}
+    for group, entries in times.items():
+        report[group] = {}
+        for name, sides in entries.items():
+            ratio = np.array(sides["change"]) / np.array(sides["base"])
+            q1, median, q3 = np.percentile(ratio, [25, 50, 75])
+            report[group][name] = {
+                "ratio_median": median, "ratio_q1": q1, "ratio_q3": q3,
+                **{f"{side}_ms_median": 1e3 * float(np.median(t))
+                   for side, t in sides.items()}}
     print(json.dumps(report))
     return 0
 

@@ -22,7 +22,10 @@
  *
  * It also resamples montecarlo.resample_means's bootstraps: from a PCG64
  * state handed over by Python, buffered half-word included, it makes the
- * integers() draws numpy would and sums each resample exactly.
+ * integers() draws numpy would and sums each resample exactly.  Eight draws
+ * at a time come from four words computed at once by the LCG's jump ahead;
+ * a block in which any draw would have entered numpy's rejection test is
+ * dropped for one draw made as numpy makes it (mfqec_resample_sums).
  *
  * Built by mfqec/kernel.py with -O2 -ffp-contract=off and no fast-math, so
  * that every double is rounded as Python rounds it.
@@ -58,12 +61,18 @@ static inline void pcg64_step(pcg64_t *rng)
     rng->state = rng->state * PCG64_MULTIPLIER + rng->inc;
 }
 
+/* XSL-RR: the output word of a stepped state. */
+static inline uint64_t xsl_rr(u128 state)
+{
+    uint64_t x = (uint64_t)(state >> 64) ^ (uint64_t)state;
+    unsigned rot = (unsigned)(state >> 122);
+    return (x >> rot) | (x << ((64 - rot) & 63));
+}
+
 static inline uint64_t next_uint64(pcg64_t *rng)
 {
     pcg64_step(rng);
-    uint64_t x = (uint64_t)(rng->state >> 64) ^ (uint64_t)rng->state;
-    unsigned rot = (unsigned)(rng->state >> 122);
-    return (x >> rot) | (x << ((64 - rot) & 63));
+    return xsl_rr(rng->state);
 }
 
 /* numpy's SeedSequence on uint32 words: hashmix/mix into a pool of four
@@ -541,17 +550,41 @@ void mfqec_skip_block(const circuit_t *c, const rate_t *r, int64_t max_cycles,
     }
 }
 
+/* Where mfqec_fill_tables gets a larger idle table: given a cycle and a
+ * slot count, the address of slots * IDLE_ROW words that outlive the fill,
+ * or NULL. */
+typedef uint64_t *(*grow_idle_fn)(int64_t cycle, int64_t slots);
+
+/* Move cycle s's idle rows into a table of twice the slots from `grow`.
+ * Returns 0, or -1 when `grow` gave none. */
+static int grow_idle(cycle_t *cy, int s, grow_idle_fn grow)
+{
+    const uint64_t *old = cy->idle;
+    const int64_t slots = cy->idle_mask + 1;
+    uint64_t *idle = grow(s, 2 * slots);
+    if (!idle)
+        return -1;
+    memset(idle, 0, sizeof(uint64_t) * IDLE_ROW * (size_t)(2 * slots));
+    cy->idle = idle;
+    cy->idle_mask = 2 * slots - 1;
+    for (const uint64_t *row = old; row < old + IDLE_ROW * slots; row += IDLE_ROW)
+        if (row[0] | row[1])
+            memcpy(idle_row(cy, row[0], row[1]), row, sizeof(uint64_t) * IDLE_ROW);
+    return 0;
+}
+
 /* Fill both cycles' tables.  Python allocates them: cycle s's fresh rows
- * (n_fresh of them), its fresh_base and idle_mask + 1 idle rows.  For every
- * single fault (site, Pauli) of a cycle, its fresh row is the cycle from the
- * clean frame with that event.  While the result is residual, the noiseless
- * orbit after it is walked: the other cycle, then the first, and so on,
- * each zero-event cycle an idle row, until the frame is clean or flipped or
- * its (cycle, frame) row is already there, whose orbit then is too.
- * Returns 0; -1 when a cycle's sites' Pauli counts do not sum to its
- * n_fresh; or 1 + s when cycle s's idle rows would pass half its slots, and
- * the caller doubles them and calls again. */
-int64_t mfqec_fill_tables(circuit_t *c)
+ * (n_fresh of them), its fresh_base and idle_mask + 1 idle rows to start
+ * from.  For every single fault (site, Pauli) of a cycle, its fresh row is
+ * the cycle from the clean frame with that event.  While the result is
+ * residual, the noiseless orbit after it is walked: the other cycle, then
+ * the first, and so on, each zero-event cycle an idle row, until the frame
+ * is clean or flipped or its (cycle, frame) row is already there, whose
+ * orbit then is too.  An idle table whose rows would pass half its slots
+ * moves to a table twice its size from `grow`, and the walk goes on, so
+ * every row is made once.  Returns 0; -1 when a cycle's sites' Pauli counts
+ * do not sum to its n_fresh; -2 when `grow` gave no table. */
+int64_t mfqec_fill_tables(circuit_t *c, grow_idle_fn grow)
 {
     for (int s = 0; s < 2; s++) {
         cycle_t *cy = &c->cycle[s];
@@ -582,8 +615,11 @@ int64_t mfqec_fill_tables(circuit_t *c)
                     row = idle_row(next, fx, fz);
                     if (row[0] | row[1])
                         break;
-                    if (2 * (next->n_idle + 1) > next->idle_mask + 1)
-                        return 1 + at;
+                    if (2 * (next->n_idle + 1) > next->idle_mask + 1) {
+                        if (grow_idle(next, at, grow) < 0)
+                            return -2;
+                        row = idle_row(next, fx, fz);
+                    }
                     next->n_idle++;
                     row[0] = fx;
                     row[1] = fz;
@@ -612,7 +648,16 @@ static void state_words(const pcg64_t *rng, uint64_t *out)
  * For each of n_resamples resamples and each set j in order (sizes[j]
  * values, the sets concatenated in `values`), draw sizes[j] indices by
  * integers(sizes[j]) and write the sum of the picked values to
- * out[r * n_sets + j]. */
+ * out[r * n_sets + j].
+ *
+ * With no half-word buffered and at least 8 draws left in the set, the next
+ * 4 words come at once from the LCG's jump ahead, s·A^k + c_k for k = 1..4
+ * (A^k and c_k made once per call), so that their multiplies do not wait on
+ * each other; as Lemire draws, low half then high half, they are the set's
+ * next 8 draws.  The block is kept only when none of its 8 low products is
+ * below n, so that no draw of it would have entered numpy's rejection test;
+ * otherwise it is dropped and bounded() makes one draw, rejections and
+ * buffered half as numpy makes them. */
 void mfqec_resample_sums(uint64_t *state, const int64_t *values, const int64_t *sizes,
                          int64_t n_sets, int64_t n_resamples, int64_t *out)
 {
@@ -620,12 +665,39 @@ void mfqec_resample_sums(uint64_t *state, const int64_t *values, const int64_t *
     pcg64_init(&rng, state[0], state[1], state[2], state[3]);
     rng.half = (uint32_t)state[4];
     rng.has_half = (int)state[5];
+    const u128 a1 = PCG64_MULTIPLIER, a2 = a1 * a1, a3 = a2 * a1, a4 = a3 * a1;
+    const u128 c1 = rng.inc, c2 = c1 * a1 + c1, c3 = c2 * a1 + c1, c4 = c3 * a1 + c1;
     for (int64_t r = 0; r < n_resamples; r++) {
         const int64_t *set = values;
         for (int64_t j = 0; j < n_sets; j++) {
-            int64_t n = sizes[j], sum = 0;
-            for (int64_t i = 0; i < n; i++)
-                sum += set[bounded(&rng, (uint64_t)n)];
+            const int64_t n = sizes[j];
+            const uint64_t un = (uint64_t)n;
+            int64_t sum = 0, i = 0;
+            while (i < n) {
+                if (!rng.has_half && n - i >= 8) {
+                    const u128 s = rng.state, s4 = s * a4 + c4;
+                    const uint64_t w1 = xsl_rr(s * a1 + c1), w2 = xsl_rr(s * a2 + c2),
+                                   w3 = xsl_rr(s * a3 + c3), w4 = xsl_rr(s4);
+                    const uint64_t m0 = (w1 & 0xFFFFFFFFULL) * un, m1 = (w1 >> 32) * un,
+                                   m2 = (w2 & 0xFFFFFFFFULL) * un, m3 = (w2 >> 32) * un,
+                                   m4 = (w3 & 0xFFFFFFFFULL) * un, m5 = (w3 >> 32) * un,
+                                   m6 = (w4 & 0xFFFFFFFFULL) * un, m7 = (w4 >> 32) * un;
+                    if (((uint32_t)m0 >= un) & ((uint32_t)m1 >= un) & ((uint32_t)m2 >= un)
+                        & ((uint32_t)m3 >= un) & ((uint32_t)m4 >= un)
+                        & ((uint32_t)m5 >= un) & ((uint32_t)m6 >= un)
+                        & ((uint32_t)m7 >= un)) {
+                        sum += set[m0 >> 32] + set[m1 >> 32] + set[m2 >> 32]
+                               + set[m3 >> 32] + set[m4 >> 32] + set[m5 >> 32]
+                               + set[m6 >> 32] + set[m7 >> 32];
+                        rng.state = s4;
+                        rng.half = (uint32_t)(w4 >> 32); /* spent, as numpy leaves it */
+                        i += 8;
+                        continue;
+                    }
+                }
+                sum += set[bounded(&rng, un)];
+                i++;
+            }
             *out++ = sum;
             set += n;
         }

@@ -3,15 +3,20 @@
 The kernel seeds and runs whole blocks of skip-sampled trials on a frame
 engine's compiled cycles (``montecarlo._kernel_trials`` decides when), and
 resamples bootstraps on a ``PCG64`` generator's own stream
-(``resample_sums``; ``montecarlo.resample_means`` decides when).
+(``resample_sums``; ``montecarlo.resample_means`` decides when).  With no
+half-word buffered, the resampler takes a set's next 8 draws from 4 words
+that it computes at once, each by jumping the LCG ahead from the same
+state, and keeps them when none of their Lemire products has a low word
+below the range; otherwise it makes one draw as numpy does, rejections
+and buffered half included, so the sums and the final state are numpy's.
 Each trial's generator is ``PCG64(trial_seed(master, point, trial))``,
 made in C by numpy's own ``SeedSequence`` hash and PCG64 seeding, from the
 ``seed_words`` of master and point.  A circuit is packed once
 (``pack_circuit``) and given its tables (``fill_tables``): arrays that
-Python allocates and C fills with the result of every single fault on the
-clean frame and of every zero-event cycle on those faults' noiseless
-orbits, which the trials read in place of running those cycles' ops.  The
-Python trial loop reads the same tables (``read_tables``), and
+Python allocates and C fills, in one pass, with the result of every single
+fault on the clean frame and of every zero-event cycle on those faults'
+noiseless orbits, which the trials read in place of running those cycles'
+ops.  The Python trial loop reads the same tables (``read_tables``), and
 ``_FrameEngine._transition``, which runs a cycle's ops, is their oracle.
 The library is built on first use with ``gcc -O2 -shared -fPIC
 -ffp-contract=off``: no fast-math, no ``-march=native`` and no contraction
@@ -103,30 +108,39 @@ def pack_circuit(cycles, n_sites: int, gens, zl_mask: int, nondata_mask: int) ->
 
 FRESH_ROW, IDLE_ROW = 3, 5  # words per fresh row and per idle row
 _IDLE_SLOTS = 64  # the idle rows a table starts from, doubled while they overflow
+_GROW_IDLE = ctypes.CFUNCTYPE(ctypes.c_void_p, _i64, _i64)  # grow_idle_fn
 
 
 def fill_tables(lib, packed: Circuit, fresh_rows) -> None:
     """Allocate and fill (``mfqec_fill_tables``) the tables of both cycles
     of ``packed``, which has ``fresh_rows[s]`` single faults in cycle s.
-    An idle table that would pass half full is doubled and the fill run
-    again; ``packed`` keeps the final arrays alive."""
+    An idle table that would pass half full is handed a table of twice its
+    slots from here, and the fill moves its rows there and goes on, so the
+    fill runs once; ``packed`` keeps the final arrays alive."""
     keep = packed._tables = {}
 
-    def give_idle(s, slots):
-        cyc = packed.cycle[s]
-        keep[s, "idle"] = cyc.idle = (_u64 * (IDLE_ROW * slots))()
-        cyc.idle_mask = slots - 1
+    def idle_rows(s, slots):
+        keep[s, "idle"] = rows = (_u64 * (IDLE_ROW * slots))()
+        return rows
 
     for s, rows in enumerate(fresh_rows):
         cyc = packed.cycle[s]
         cyc.n_fresh = rows
         keep[s, "fresh"] = cyc.fresh = (_u64 * (FRESH_ROW * rows))()
         keep[s, "base"] = cyc.fresh_base = (_i64 * packed.n_sites)()
-        give_idle(s, _IDLE_SLOTS)
-    while (status := lib.mfqec_fill_tables(packed)) > 0:
-        give_idle(status - 1, 2 * (packed.cycle[status - 1].idle_mask + 1))
-    if status < 0:
+        cyc.idle, cyc.idle_mask = idle_rows(s, _IDLE_SLOTS), _IDLE_SLOTS - 1
+    outgrown = []  # tables the fill moves out of, alive until it returns
+
+    @_GROW_IDLE
+    def grow(s, slots):
+        outgrown.append(keep[s, "idle"])
+        return ctypes.addressof(idle_rows(s, slots))
+
+    status = lib.mfqec_fill_tables(packed, grow)
+    if status == -1:
         raise ValueError(f"fresh rows {list(fresh_rows)} do not match the sites' Paulis")
+    if status:
+        raise MemoryError("no memory for a larger idle table")
 
 
 def read_tables(packed: Circuit) -> list:
@@ -251,7 +265,7 @@ def load(directory):
         ("mfqec_skip_block", [ctypes.POINTER(Circuit), ctypes.POINTER(Rate), _i64,
                               u32p, _i64, u64p, _i64, ctypes.POINTER(_i64)]),
         ("mfqec_resample_sums", [u64a, i64a, i64a, _i64, _i64, i64a]),
-        ("mfqec_fill_tables", [ctypes.POINTER(Circuit)]),
+        ("mfqec_fill_tables", [ctypes.POINTER(Circuit), _GROW_IDLE]),
         ("mfqec_draws", [_u64, _u64, _u64, _u64, ctypes.POINTER(Rate), _i64,
                          ctypes.POINTER(_i64), _i64, ctypes.POINTER(_f64)]),
         ("mfqec_clean_draws", [ctypes.POINTER(Rate), _i64, ctypes.POINTER(_f64), _i64,

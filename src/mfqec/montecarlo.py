@@ -840,6 +840,7 @@ def estimate_logical_error_rate(
     workers: int = 1,
     engine: str = "frame",
     progress=None,
+    _pool=None,
 ) -> SweepPoint:
     """The point at ``p`` from n_trials independent seeded trials; p_log =
     1/mean cycles-to-failure over uncensored trials with a bootstrap CI
@@ -855,9 +856,13 @@ def estimate_logical_error_rate(
     with more, on a thread pool when the kernel runs them, since ``ctypes``
     drops the GIL around each kernel call, else on a process pool, since
     ``run_trial`` holds it.  Forked workers inherit the circuit and engine
-    built here.  On any exception (a ``KeyboardInterrupt`` from
-    ``progress``, a crashed worker) pending slices are cancelled, so at
-    most one slice per worker still runs."""
+    built here.  The thread pool is ``_pool`` when a sweep hands over its
+    own (``iter_sweep``), which outlives the call; otherwise the call
+    opens a pool and shuts it down before it returns.  On any exception (a
+    ``KeyboardInterrupt`` from ``progress``, a crashed worker) the slices
+    of this call not yet started are cancelled, so at most one slice per
+    worker still runs; a pool the call opened is also shut down, waiting
+    for those."""
     if n_trials < 1:
         raise ValueError("n_trials must be >= 1")
     tick = max(1, n_trials // 20)
@@ -867,19 +872,20 @@ def estimate_logical_error_rate(
     base = (code.name, variant.value, p, max_cycles, engine, master_seed, point_index)
     run_slice = (partial(_python_trials, *base) if block is None
                  else partial(block, master_seed, point_index))
-    pool = None
+    owned = None  # a pool this call opens, and shuts down
     if workers <= 1:
         parts = map(run_slice, slices)
     elif block is not None:
-        from concurrent.futures import ThreadPoolExecutor
+        if _pool is None:
+            from concurrent.futures import ThreadPoolExecutor
 
-        pool = ThreadPoolExecutor(max_workers=workers)
-        parts = pool.map(run_slice, slices)
+            _pool = owned = ThreadPoolExecutor(max_workers=workers)
+        parts = _pool.map(run_slice, slices)
     else:
         from concurrent.futures import ProcessPoolExecutor
 
-        pool = ProcessPoolExecutor(max_workers=workers)
-        parts = pool.map(_run_trial_block, [base + (s,) for s in slices])
+        owned = ProcessPoolExecutor(max_workers=workers)
+        parts = owned.map(_run_trial_block, [base + (s,) for s in slices])
     cycles = []
     try:
         for part in parts:
@@ -887,8 +893,10 @@ def estimate_logical_error_rate(
             if progress is not None:
                 progress(len(cycles), n_trials)
     finally:
-        if pool is not None:
-            pool.shutdown(cancel_futures=True)
+        if workers > 1:
+            parts.close()  # cancels the slices not yet started
+        if owned is not None:
+            owned.shutdown(cancel_futures=True)
     failure_cycles = [c for c in cycles if c]
     boot_rng = np.random.default_rng(
         np.random.SeedSequence([master_seed, point_index])

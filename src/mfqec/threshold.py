@@ -80,6 +80,13 @@ def iter_sweep(
     Points are seeded by (master_seed, grid index), so a point's trials
     do not depend on the rest of the grid.  A point where every trial is
     censored is returned with NaN rates rather than aborting the sweep.
+
+    With ``workers > 1`` the sweep owns one thread pool, which every
+    point's kernel trial slices run on (``estimate_logical_error_rate``
+    says when); its threads start with the first slice, not once per
+    point.  An estimate that raises cancels its own pending slices, and
+    the pool is shut down, waiting for the slices still running, when the
+    sweep ends, raises or is closed, so no worker thread outlives it.
     """
     grid = [float(p) for p in p_grid]
     for p in grid:
@@ -88,24 +95,34 @@ def iter_sweep(
     if any(b <= a for a, b in zip(grid, grid[1:])):
         raise ValueError(f"p_grid must be strictly increasing, got {grid}")
 
-    for index, p in enumerate(grid):
-        if progress is not None:
-            progress(
-                f"point {index + 1}/{len(grid)}: {code.name} "
-                f"{variant.value} p={p:g} ({trials_per_point} trials)"
+    pool = None
+    if workers > 1:
+        from concurrent.futures import ThreadPoolExecutor
+
+        pool = ThreadPoolExecutor(max_workers=workers)
+    try:
+        for index, p in enumerate(grid):
+            if progress is not None:
+                progress(
+                    f"point {index + 1}/{len(grid)}: {code.name} "
+                    f"{variant.value} p={p:g} ({trials_per_point} trials)"
+                )
+            yield sweep_point(
+                code,
+                variant,
+                p,
+                trials_per_point,
+                master_seed,
+                index,
+                max_cycles=max_cycles,
+                workers=workers,
+                engine=engine,
+                progress=progress,
+                _pool=pool,
             )
-        yield sweep_point(
-            code,
-            variant,
-            p,
-            trials_per_point,
-            master_seed,
-            index,
-            max_cycles=max_cycles,
-            workers=workers,
-            engine=engine,
-            progress=progress,
-        )
+    finally:
+        if pool is not None:
+            pool.shutdown(cancel_futures=True)
 
 
 def sweep_point(
@@ -120,10 +137,12 @@ def sweep_point(
     workers: int = 1,
     engine: str = "frame",
     progress: Optional[Callable[[str], None]] = None,
+    _pool=None,
 ) -> SweepPoint:
     """The estimate at one grid point, seeded by (master_seed, index)
     exactly as iter_sweep seeds the point at that grid position, or a
-    NaN point when every trial was censored."""
+    NaN point when every trial was censored.  ``_pool`` is the sweep's
+    thread pool, handed on to ``estimate_logical_error_rate``."""
     trial_progress = None
     if progress is not None:
         trial_progress = lambda done, total: progress(  # noqa: E731
@@ -141,6 +160,7 @@ def sweep_point(
             workers=workers,
             engine=engine,
             progress=trial_progress,
+            _pool=_pool,
         )
     except AllCensored:
         return SweepPoint(
@@ -175,6 +195,30 @@ def _crossing_from_curve(ps: np.ndarray, p_logs: np.ndarray):
             log_pth = math.log(ps[i]) + t * (math.log(ps[i + 1]) - math.log(ps[i]))
             return math.exp(log_pth), (float(ps[i]), float(ps[i + 1]))
     return None
+
+
+def _crossings_of_curves(ps: np.ndarray, curves: np.ndarray) -> list:
+    """Per row of ``curves``, the p_th of ``_crossing_from_curve(ps, row)``,
+    or None where the row does not cross.  The first hit of every row is
+    found in one numpy pass; the interpolation at it is the scalar one of
+    ``_crossing_from_curve``, so each p_th is the same to the bit."""
+    d = np.log(curves) - np.log(ps)
+    hit = d == 0.0
+    hit[:, :-1] |= (d[:, :-1] < 0.0) & (d[:, 1:] > 0.0)
+    rows = np.flatnonzero(hit.any(axis=1))
+    at = hit[rows].argmax(axis=1)
+    d_at = d[rows, at].tolist()
+    d_next = d[rows, np.minimum(at + 1, len(ps) - 1)].tolist()
+    grid = ps.tolist()
+    log_grid = [math.log(p) for p in grid]
+    p_ths = [None] * len(curves)
+    for r, i, d_i, d_j in zip(rows.tolist(), at.tolist(), d_at, d_next):
+        if d_i == 0.0:
+            p_ths[r] = grid[i]
+        else:
+            t = -d_i / (d_j - d_i)
+            p_ths[r] = math.exp(log_grid[i] + t * (log_grid[i + 1] - log_grid[i]))
+    return p_ths
 
 
 def find_threshold_crossing(
@@ -221,8 +265,7 @@ def find_threshold_crossing(
     )
     curves = np.tile(p_logs, (n_bootstrap, 1))
     curves[:, drawn] = 1.0 / means
-    hits = (_crossing_from_curve(ps, curve) for curve in curves)
-    boot = [hit[0] for hit in hits if hit is not None]
+    boot = [p for p in _crossings_of_curves(ps, curves) if p is not None]
     if boot:
         ci = tuple(float(v) for v in np.percentile(boot, [2.5, 97.5]))
     else:

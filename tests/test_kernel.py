@@ -21,6 +21,7 @@ import sys
 import threading
 import warnings
 from bisect import bisect_right
+from itertools import product
 
 import numpy as np
 import pytest
@@ -55,6 +56,7 @@ from kernelhooks import (
     seed_state,
     trial_states,
 )
+from test_montecarlo import PCG64_MULTIPLIER, _pcg64_state_emitting
 
 SRC = os.path.dirname(os.path.dirname(montecarlo.__file__))
 
@@ -283,6 +285,62 @@ def test_resamples_outside_the_kernel_run_numpys_loop(make_rng, sets, monkeypatc
         got, expected, calls = _resample_both_ways(make_rng, sets, 9, monkeypatch)
     assert calls == 0
     assert got == expected
+
+
+def _stepped_back(state, words):
+    """The PCG64 state dict ``words`` outputs before ``state``."""
+    inc, s = state["state"]["inc"], state["state"]["state"]
+    inverse = pow(PCG64_MULTIPLIER, -1, 1 << 128)
+    for _ in range(words):
+        s = (s - inc) * inverse % (1 << 128)
+    return dict(state, state={"state": s, "inc": inc})
+
+
+def _half_with_low_product(n, low):
+    """A uint32 whose Lemire product with n has ``low`` as its low word;
+    ``low`` must be a multiple of gcd(n, 2**32)."""
+    g = math.gcd(n, 1 << 32)
+    return low // g * pow(n // g, -1, (1 << 32) // g) % ((1 << 32) // g)
+
+
+@pytest.mark.parametrize("n", [1, 7, 8, 9, 16, 1100])
+def test_resample_blocks_match_numpy_on_edge_words(n, monkeypatch):
+    """The kernel takes 8 draws of a set from 4 words computed at once, and
+    keeps them only when no draw's low product is below n.  A word whose
+    low product is just below, on or just above n's rejection threshold,
+    or n less the step the products move by, or n, is put at each of the 8
+    draws of the first block, with and without a half-word buffered before
+    it: the means and the final generator state are numpy's."""
+    kernel_library()
+    calls = []
+    real = kernel.resample_sums
+    monkeypatch.setattr(kernel, "resample_sums", lambda *a: calls.append(1) or real(*a))
+    step = math.gcd(n, 1 << 32)
+    threshold = (1 << 32) % n
+    lows = {low for low in (threshold - step, threshold, threshold + step, n - step, n)
+            if low >= 0}
+    values = np.arange(n, dtype=np.int64) * 7 + 1
+    cases = 0
+    for position, low, buffered in product(range(8), sorted(lows), (False, True)):
+        half = _half_with_low_product(n, low)
+        other = 0x9E3779B9
+        word = half | other << 32 if position % 2 == 0 else other | half << 32
+        state = _stepped_back(_pcg64_state_emitting(word), position // 2)
+        if buffered:
+            state = dict(state, has_uint32=1, uinteger=0x2545F491)
+        rngs = []
+        for _ in range(2):
+            rngs.append(np.random.default_rng())
+            rngs[-1].bit_generator.state = state
+        raw = np.random.PCG64()
+        raw.state = state
+        assert raw.random_raw(position // 2 + 1)[-1] == word
+        got = resample_means(rngs[0], [values], 3)
+        expected = _numpy_resample_means(rngs[1], [values], 3)
+        assert got.tobytes() == expected.tobytes(), (position, low, buffered)
+        assert _state(rngs[0]) == _state(rngs[1]), (position, low, buffered)
+        cases += 1
+    assert len(calls) == cases
 
 
 def test_threshold_bootstrap_holds_points_without_failure_times(monkeypatch):
@@ -558,6 +616,30 @@ def test_kernel_tables_equal_the_transitions():
             assert cyc.n_idle == len(idle) <= (cyc.idle_mask + 1) // 2
         assert sum(cyc.n_fresh for cyc in packed.cycle) == FRESH_ROWS[name, variant]
         assert sum(cyc.n_idle for cyc in packed.cycle) == orbit_entries
+
+
+def test_idle_tables_grow_within_one_fill(monkeypatch):
+    """An idle table about to pass half full moves to one of twice its
+    slots and the fill goes on, so one ``mfqec_fill_tables`` call fills
+    the tables whatever size they start from: from 2 slots they are the
+    tables filled from the default start, of the same final size."""
+    lib = kernel_library()
+    calls = []
+    real = lib.mfqec_fill_tables
+    monkeypatch.setattr(lib, "mfqec_fill_tables", lambda *a: calls.append(1) or real(*a))
+    start = kernel._IDLE_SLOTS
+    for name, variant in [("surface17", Variant.PERFECT), ("bf", Variant.SIMPLIFIED)]:
+        circ = circuit_for(name, variant)
+        packed = []
+        for slots in (start, 2):
+            monkeypatch.setattr(kernel, "_IDLE_SLOTS", slots)
+            packed.append(_FrameEngine(circ).kernel_circuit())
+        default, small = packed
+        assert kernel.read_tables(small) == kernel.read_tables(default)
+        for a, b in zip(small.cycle, default.cycle):
+            assert (a.idle_mask, a.n_idle) == (b.idle_mask, b.n_idle)
+            assert 2 * a.n_idle <= a.idle_mask + 1 <= 4 * (a.n_idle + 1)
+    assert len(calls) == 4
 
 
 def test_estimates_share_one_circuit_filled_once(monkeypatch):

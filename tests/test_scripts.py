@@ -103,7 +103,8 @@ def _git_copy_of_the_tree(into):
 
 def test_kernel_ab_times_head_against_itself(tmp_path):
     """Two rounds of HEAD's kernel against the same source: equal outputs,
-    and per workload a ratio of times with its quartiles."""
+    and per workload and per resample shape a ratio of times with its
+    quartiles."""
     if kernel_or_none() is None:
         pytest.skip("no C compiler on PATH")
     repo = tmp_path / "repo"
@@ -116,23 +117,27 @@ def test_kernel_ab_times_head_against_itself(tmp_path):
     assert report["rounds"] == 2 and report["base"] == "HEAD"
     assert list(report["workloads"]) == ["s17-perfect-deep", "s17-simplified-stuck",
                                          "bf-sweep"]
-    for entry in report["workloads"].values():
+    assert list(report["resamples"]) == ["1x1100", "8x1100"]
+    for entry in [*report["workloads"].values(), *report["resamples"].values()]:
         assert 0 < entry["ratio_q1"] <= entry["ratio_median"] <= entry["ratio_q3"]
         assert entry["base_ms_median"] > 0 and entry["change_ms_median"] > 0
 
 
 def test_kernel_ab_compares_the_shared_definitions():
-    """A kernel whose rate_t differs, even by a field's name, is refused;
-    comments and spacing are not a difference."""
+    """A kernel whose rate_t or mfqec_resample_sums parameters differ, even
+    by a name, is refused; comments and spacing are not a difference."""
     script = _load("kernel_ab")
     source = open(os.path.join(SCRIPTS, os.pardir, "src", "mfqec", "_kernel.c")).read()
     defs = script.shared_definitions(source)
     assert all(defs.values()) and set(defs) == {"cycle_t", "circuit_t", "rate_t",
-                                                "mfqec_skip_block"}
+                                                "mfqec_skip_block", "mfqec_resample_sums"}
     respaced = source.replace("double log_clean;", "double  log_clean; /* x */")
     assert script.shared_definitions(respaced) == defs
     renamed = script.shared_definitions(source.replace("log_clean;", "log_dirty;"))
     assert [k for k in defs if renamed[k] != defs[k]] == ["rate_t"]
+    renamed = script.shared_definitions(source.replace("int64_t n_resamples, int64_t *out",
+                                                       "int64_t n_draws, int64_t *out"))
+    assert [k for k in defs if renamed[k] != defs[k]] == ["mfqec_resample_sums"]
 
 
 def test_bench_pair_writes_the_pair_record(tmp_path):
@@ -168,3 +173,42 @@ def test_bench_pair_writes_the_pair_record(tmp_path):
     assert [(r["pair"], r["side"], r["order"], r["seed"]) for r in runs] == [
         (0, "base", 0, 42), (0, "change", 1, 42), (1, "change", 0, 42), (1, "base", 1, 42)]
     assert all(set(r["metrics"]) == set(metrics) for r in runs)
+
+
+@pytest.mark.parametrize("edit", [False, True], ids=["unchanged", "edited"])
+def test_bench_pair_flags_src_edited_while_it_runs(edit, tmp_path, monkeypatch, capsys):
+    """Each run keeps the digests of its side's src/ from before and after
+    it.  A file of src/ edited during the first change-side run shows as a
+    change of digest within that run and across the side's runs, and
+    flags the record; unedited, both sides see one and the same src/."""
+    repo = tmp_path / "repo"
+    _git_copy_of_the_tree(repo)
+    script = _load("bench_pair")
+    monkeypatch.setattr(script, "ROOT", repo)
+    metrics = ["wall_s", "trials_per_s", "cycles_per_s", "setup_s", "peak_rss_mb"]
+    seen = []
+
+    def fake_run_once(root, workload, seed, seconds, trials):
+        seen.append(root)
+        if edit and root == repo and seen.count(repo) == 1:
+            with open(repo / "src" / "mfqec" / "__init__.py", "a") as fh:
+                fh.write("# edited\n")
+        return {"correct": True, "rng_stream_match": None,
+                "metrics": dict.fromkeys(metrics, 1.0)}
+
+    monkeypatch.setattr(script, "run_once", fake_run_once)
+    assert script.main(["--base", "HEAD", "--label", "t", "--workload", "bf-sweep",
+                        "--pairs", "2", "--out-dir", str(tmp_path)]) == 0
+    record = json.loads((tmp_path / "BENCH_t.json").read_text())
+    runs = record["workloads"]["bf-sweep"]["runs"]
+    assert [r["side"] for r in runs] == ["base", "change", "change", "base"]
+    base, change = record["base"]["src_digests"], record["change"]["src_digests"]
+    assert len(base) == 1 and all(r["src"] == base * 2 for r in runs if r["side"] == "base")
+    assert record["src_changed"] is edit
+    warned = "src/ changed during the runs" in capsys.readouterr().err
+    assert warned is edit
+    if edit:
+        assert len(change) == 2 and runs[1]["src"] == [base[0], runs[2]["src"][0]]
+        assert runs[2]["src"][0] == runs[2]["src"][1] != base[0]
+    else:
+        assert change == base and all(r["src"] == base * 2 for r in runs)

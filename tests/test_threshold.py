@@ -6,9 +6,11 @@ linear in log p, so log-log interpolation recovers p0 exactly, on any
 grid that brackets it.
 """
 
+import concurrent.futures
 import dataclasses
 import inspect
 import math
+import threading
 
 import numpy as np
 import pytest
@@ -24,6 +26,7 @@ from mfqec.threshold import (
     iter_sweep,
     sweep_point,
 )
+from kernelhooks import kernel_library
 
 
 def _point(p, p_log, failure_cycles=()):
@@ -169,6 +172,37 @@ def test_first_crossing_in_grid_order_beats_a_later_tie():
     )
     assert (est.p_th, est.bracket) == (0.005, (0.005, 0.01))
 
+def test_one_pass_scan_matches_the_scalar_crossing_row_by_row():
+    """``_crossings_of_curves`` finds each row's first crossing in one pass
+    over all rows; ``_crossing_from_curve`` scans one row and is its
+    oracle, bit for bit.  Beside random curves: a point exactly on the
+    identity line first, inside and last, a tie next to a sign change on
+    either side, and rows that never cross."""
+    ps = np.geomspace(5e-3, 5e-2, 8)
+    rng = np.random.default_rng(11)
+    slopes = rng.uniform(-1.0, 2.0, size=(2000, 1))
+    rows = list(ps * np.exp(rng.normal(0.0, 0.6, size=(2000, 8))
+                            + slopes * np.linspace(-1.0, 1.0, 8)))
+    below, above = ps / math.e, ps * math.e
+    for signs in ["0+++++++", "---0++++", "-------0", "--+0++++", "--0+++++",
+                  "+-0+++++", "0-+-----", "+0-+----", "--------", "++++++++",
+                  "+++-----", "+-+-+-+-", "000-----", "-0-0-0-0"]:
+        rows.append(np.select([np.array(list(signs)) == c for c in "-0"],
+                              [below, ps], above))
+    curves = np.array(rows)
+    expected = []
+    for curve in curves:
+        hit = threshold._crossing_from_curve(ps, curve)
+        expected.append(None if hit is None else hit[0])
+    got = threshold._crossings_of_curves(ps, curves)
+    assert [repr(v) for v in got] == [repr(v) for v in expected]
+    assert expected[2000:] == [ps[0], got[2001], ps[7], got[2003], ps[2], ps[2],
+                               ps[0], ps[1], None, None, None, got[2011], ps[0],
+                               ps[1]]
+    assert all(isinstance(v, float) for v in got if v is not None)
+    assert sum(v is None for v in got[:2000]) > 100  # random rows that never cross
+
+
 def test_unsorted_and_censored_points_are_handled():
     p0 = 0.013
     grid = np.geomspace(p0 / 5, p0 * 5, 9)
@@ -271,6 +305,37 @@ def test_sweep_end_to_end_and_point_independence():
         assert solo == pt
     # more noise fails faster
     assert points[0].mean_cycles > points[1].mean_cycles
+
+
+def test_a_sweep_runs_its_points_on_one_thread_pool(monkeypatch):
+    """With two workers a sweep opens one thread pool for all its points
+    and shuts it down when it ends or is closed early; a standalone
+    estimate opens and shuts down its own.  No thread is left behind, and
+    the points are those of one worker."""
+    kernel_library()
+    pools = []
+
+    class CountingPool(concurrent.futures.ThreadPoolExecutor):
+        def __init__(self, *args, **kwargs):
+            pools.append(self)
+            super().__init__(*args, **kwargs)
+
+    monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", CountingPool)
+    baseline = threading.active_count()
+    args = (BIT_FLIP_CODE, Variant.SIMPLIFIED, [0.01, 0.02, 0.04], 60, 5)
+    points = list(iter_sweep(*args, workers=2))
+    assert len(pools) == 1 and pools[0]._shutdown
+    assert threading.active_count() == baseline
+    assert points == list(iter_sweep(*args, workers=1))
+    sweep = iter_sweep(*args, workers=2)
+    assert next(sweep) == points[0]
+    sweep.close()
+    assert len(pools) == 2 and pools[1]._shutdown
+    assert threading.active_count() == baseline
+    assert montecarlo.estimate_logical_error_rate(*args[:2], 0.02, 60, 5, point_index=1,
+                                                  workers=2) == points[1]
+    assert len(pools) == 3 and pools[2]._shutdown
+    assert threading.active_count() == baseline
 
 
 def test_sweep_progress_messages():
