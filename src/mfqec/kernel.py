@@ -111,30 +111,38 @@ _IDLE_SLOTS = 64  # the idle rows a table starts from, doubled while they overfl
 _GROW_IDLE = ctypes.CFUNCTYPE(ctypes.c_void_p, _i64, _i64)  # grow_idle_fn
 
 
+def _idle_table(slots: int):
+    """Zeroed room for ``slots`` idle rows."""
+    return (_u64 * (IDLE_ROW * slots))()
+
+
 def fill_tables(lib, packed: Circuit, fresh_rows) -> None:
     """Allocate and fill (``mfqec_fill_tables``) the tables of both cycles
     of ``packed``, which has ``fresh_rows[s]`` single faults in cycle s.
     An idle table that would pass half full is handed a table of twice its
     slots from here, and the fill moves its rows there and goes on, so the
-    fill runs once; ``packed`` keeps the final arrays alive."""
+    fill runs once; ``packed`` keeps the final arrays alive.  A table that
+    cannot be allocated raises ``MemoryError`` once the fill has returned:
+    an exception cannot pass through C."""
     keep = packed._tables = {}
-
-    def idle_rows(s, slots):
-        keep[s, "idle"] = rows = (_u64 * (IDLE_ROW * slots))()
-        return rows
-
     for s, rows in enumerate(fresh_rows):
         cyc = packed.cycle[s]
         cyc.n_fresh = rows
         keep[s, "fresh"] = cyc.fresh = (_u64 * (FRESH_ROW * rows))()
         keep[s, "base"] = cyc.fresh_base = (_i64 * packed.n_sites)()
-        cyc.idle, cyc.idle_mask = idle_rows(s, _IDLE_SLOTS), _IDLE_SLOTS - 1
+        keep[s, "idle"] = cyc.idle = _idle_table(_IDLE_SLOTS)
+        cyc.idle_mask = _IDLE_SLOTS - 1
     outgrown = []  # tables the fill moves out of, alive until it returns
 
     @_GROW_IDLE
     def grow(s, slots):
+        try:
+            table = _idle_table(slots)
+        except MemoryError:
+            return None  # the fill returns -2
         outgrown.append(keep[s, "idle"])
-        return ctypes.addressof(idle_rows(s, slots))
+        keep[s, "idle"] = table
+        return ctypes.addressof(table)
 
     status = lib.mfqec_fill_tables(packed, grow)
     if status == -1:

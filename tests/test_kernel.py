@@ -642,6 +642,25 @@ def test_idle_tables_grow_within_one_fill(monkeypatch):
     assert len(calls) == 4
 
 
+def test_an_idle_table_that_cannot_grow_raises_memory_error(monkeypatch):
+    """An allocation that fails while the fill runs, past the first
+    doubling, ends the fill: ``fill_tables`` raises ``MemoryError``, and the
+    engine keeps no circuit."""
+    kernel_library()
+    real = kernel._idle_table
+
+    def small_only(slots):
+        if slots > 2 * kernel._IDLE_SLOTS:
+            raise MemoryError
+        return real(slots)
+
+    monkeypatch.setattr(kernel, "_idle_table", small_only)
+    engine = _FrameEngine(circuit_for("surface17", Variant.PERFECT))
+    with pytest.raises(MemoryError, match="larger idle table"):
+        engine.kernel_circuit()
+    assert engine._packed is None
+
+
 def test_estimates_share_one_circuit_filled_once(monkeypatch):
     """Two estimates on one engine run on the one circuit it packs, whose
     tables are filled once, in the calling thread; a fill that fails
