@@ -5,12 +5,13 @@ checkout's, in one process.
 
 Compiles ``REV:src/mfqec/_kernel.c`` and this checkout's ``_kernel.c``
 (uncommitted edits included) with ``kernel.CFLAGS`` into a temporary
-directory and loads both libraries.  Both read one packed circuit and rate,
-packed and given their tables by this checkout's ``mfqec.kernel``, and are
-called with one argument list, so the script refuses to run (exit 2) when
-the two sources define ``cycle_t``, ``circuit_t``, ``rate_t`` or the
-parameters of ``mfqec_skip_block`` or ``mfqec_resample_sums`` differently,
-comments and spacing aside.
+directory and loads both libraries.  Each library runs on its own packed
+circuit, whose tables its own ``mfqec_fill_tables`` fills, so the two may
+differ in what a table row holds; both read one rate and are called with
+one argument list, so the script refuses to run (exit 2) when the two
+sources define ``cycle_t``, ``circuit_t``, ``rate_t`` or the parameters of
+``mfqec_skip_block``, ``mfqec_resample_sums`` or ``mfqec_fill_tables``
+differently, comments and spacing aside.
 
 Round r calls each library's ``mfqec_skip_block`` once on one point of each
 benchmark workload (``POINTS``), its trials seeded by (``SEED``, r) as
@@ -68,8 +69,8 @@ MAX_CYCLES = 10_000_000  # estimate_logical_error_rate's default
 SEED = 42  # perfbench's seed
 SHARED = {name: r"typedef\s+struct\s*\{([^}]*)\}\s*" + name + r"\s*;"
           for name in ("cycle_t", "circuit_t", "rate_t")}
-SHARED.update({name: r"void\s+" + name + r"\s*\(([^)]*)\)"
-               for name in ("mfqec_skip_block", "mfqec_resample_sums")})
+SHARED.update({name: r"\b(?:void|int64_t)\s+" + name + r"\s*\(([^)]*)\)"
+               for name in ("mfqec_skip_block", "mfqec_resample_sums", "mfqec_fill_tables")})
 
 
 def shared_definitions(source: str) -> dict:
@@ -84,10 +85,11 @@ def shared_definitions(source: str) -> dict:
     return found
 
 
-def _trials(lib, r, circuit, rate, indices):
-    """``mfqec_skip_block``'s flip cycles for point r's trials ``indices``."""
-    return kernel.skip_block(lib, circuit, rate, MAX_CYCLES, kernel.seed_prefix(SEED, r),
-                             indices)
+def _trials(lib, r, circuits, rate, indices):
+    """``mfqec_skip_block``'s flip cycles for point r's trials ``indices``,
+    on the circuit ``circuits[lib]`` that ``lib`` filled."""
+    return kernel.skip_block(lib, circuits[lib], rate, MAX_CYCLES,
+                             kernel.seed_prefix(SEED, r), indices)
 
 
 def _resample(lib, r, values, sizes, n_resamples):
@@ -115,11 +117,6 @@ def main(argv=None) -> int:
               "differently; one set of arguments cannot serve both", file=sys.stderr)
         return 2
 
-    points = {}
-    for name, (code, variant, p, trials) in POINTS.items():
-        eng = make_engine(circuit_for(code, Variant(variant)), "frame")
-        rate = kernel_rate(p, _site_count(eng.circuit))
-        points[name] = (eng.kernel_circuit(), rate, list(range(trials)))
     n_values = max(n_sets * size for n_sets, size, _ in RESAMPLES.values())
     cycles = np.random.default_rng(SEED).geometric(0.02, size=n_values).astype(np.int64)
 
@@ -130,13 +127,18 @@ def main(argv=None) -> int:
         change = kernel.load(Path(tmp) / "change")
         # REV may lack this checkout's test hooks, which load() declares
         base = ctypes.CDLL(str(kernel.build(base_path.parent, base_path)))
-        for func in ("mfqec_skip_block", "mfqec_resample_sums"):
+        for func in ("mfqec_skip_block", "mfqec_resample_sums", "mfqec_fill_tables"):
             getattr(base, func).argtypes = getattr(change, func).argtypes
-            getattr(base, func).restype = None
+            getattr(base, func).restype = getattr(change, func).restype
         libs = {"base": base, "change": change}
-        calls = {"workloads": {name: partial(_trials, circuit=circuit, rate=rate,
+        points = {}
+        for name, (code, variant, p, trials) in POINTS.items():
+            eng = make_engine(circuit_for(code, Variant(variant)), "frame")
+            points[name] = ({lib: eng.pack(lib) for lib in libs.values()},
+                            kernel_rate(p, _site_count(eng.circuit)), list(range(trials)))
+        calls = {"workloads": {name: partial(_trials, circuits=circuits, rate=rate,
                                              indices=indices)
-                               for name, (circuit, rate, indices) in points.items()},
+                               for name, (circuits, rate, indices) in points.items()},
                  "resamples": {name: partial(_resample, values=cycles[:n_sets * size],
                                              sizes=np.full(n_sets, size, dtype=np.int64),
                                              n_resamples=n_resamples)

@@ -20,6 +20,15 @@
  * other cycle runs its ops.  The Python loop reads the same tables, and
  * _FrameEngine._transition, which runs the ops, is their oracle.
  *
+ * A row whose class is RESIDUAL also links to its successor, the other
+ * cycle's idle row keyed by its result frame, which the fill always makes:
+ * its class word is class | (slot + 1) << 2, slot being that row's index in
+ * the other cycle's idle table, and 0 above the class bits means no link.
+ * The links are set in one pass once every walk is done, so no table grows
+ * after them.  A trial keeps the link of the last row it read, and a
+ * zero-event cycle reads the linked row; it probes the idle table only
+ * after a cycle that ran its ops (a miss, or events on a residual frame).
+ *
  * It also resamples montecarlo.resample_means's bootstraps: from a PCG64
  * state handed over by Python, buffered half-word included, it makes the
  * integers() draws numpy would and sums each resample exactly.  Eight draws
@@ -248,10 +257,10 @@ typedef struct {
     const uint64_t *ops;   /* n_ops rows (opcode, mask, mask, mask) */
     const uint64_t *sites; /* N rows (ops before its event, channel, 3 qubit masks) */
     int64_t n_fresh;       /* the sites' Pauli counts summed */
-    uint64_t *fresh;       /* n_fresh rows (fx', fz', class) */
+    uint64_t *fresh;       /* n_fresh rows (fx', fz', class word) */
     int64_t *fresh_base;   /* N entries: the fresh row of each site's Pauli 1 */
     int64_t idle_mask;     /* idle slots less one, the slots a power of two */
-    uint64_t *idle;        /* rows (fx, fz, fx', fz', class); fx = fz = 0 is empty */
+    uint64_t *idle;        /* rows (fx, fz, fx', fz', class word); fx = fz = 0 is empty */
     int64_t n_idle;        /* idle rows in use */
 } cycle_t;
 
@@ -268,8 +277,11 @@ typedef struct {
     uint64_t zl_mask, nondata_mask;
 } circuit_t;
 
-/* Classification, as montecarlo.Classification. */
+/* Classification, as montecarlo.Classification: the low two bits of a
+ * row's class word, whose higher bits hold the row's link (LINK_SHIFT). */
 enum { CLEAN_ZERO, LOGICAL_FLIP, RESIDUAL };
+#define CLASS_MASK 3
+#define LINK_SHIFT 2
 
 static void exec_ops(const uint64_t *op, const uint64_t *end,
                      uint64_t *fx_, uint64_t *fz_)
@@ -373,7 +385,9 @@ static int finish_cycle(const circuit_t *c, const cycle_t *cy, int64_t done,
 
 /* The idle row of frame (fx, fz), or the empty row where it would go:
  * linear probing from a multiplicative hash.  A residual frame is never
- * zero, so (0, 0) marks an empty row; the zero frame finds an empty row. */
+ * zero, so (0, 0) marks an empty row; the zero frame finds an empty row.
+ * A trial probes only where it holds no link: on the first zero-event
+ * cycle after a cycle that ran its ops. */
 static inline uint64_t *idle_row(const cycle_t *cy, uint64_t fx, uint64_t fz)
 {
     uint64_t h = (fx ^ fz * 0x9E3779B97F4A7C15ULL) * 0xBF58476D1CE4E5B9ULL;
@@ -414,20 +428,26 @@ static void choose_sites(pcg64_t *rng, int64_t n, int64_t k, int64_t *out,
         mark[out[i]] = 0;
 }
 
-/* One cycle from frame (fx, fz) with k errors, their Paulis drawn in site
- * order as montecarlo._draw_cycle_events draws them.  One error on the
- * clean frame reads its fresh row after its draw, and no error reads the
- * frame's idle row when it has one. */
-static int run_cycle(const circuit_t *c, const cycle_t *cy, pcg64_t *rng,
+/* One cycle of cycle s from frame (fx, fz) with k errors, their Paulis
+ * drawn in site order as montecarlo._draw_cycle_events draws them.  One
+ * error on the clean frame reads its fresh row after its draw, and no
+ * error reads the frame's idle row when it has one: the row *link points
+ * to when it is not NULL, else the row idle_row finds.  *link becomes the
+ * link of the row read, or NULL when the cycle ran its ops. */
+static int run_cycle(const circuit_t *c, int s, pcg64_t *rng,
                      const int64_t *chosen, int64_t k,
-                     uint64_t *fx, uint64_t *fz)
+                     uint64_t *fx, uint64_t *fz, const uint64_t **link)
 {
+    const cycle_t *cy = &c->cycle[s];
     const uint64_t *row;
     if (k == 0) {
-        row = idle_row(cy, *fx, *fz);
-        if (!(row[0] | row[1]))
-            return finish_cycle(c, cy, 0, fx, fz);
-        row += 2; /* past the key: (fx', fz', class), as a fresh row */
+        row = *link;
+        if (!row) {
+            row = idle_row(cy, *fx, *fz);
+            if (!(row[0] | row[1]))
+                return finish_cycle(c, cy, 0, fx, fz);
+        }
+        row += 2; /* past the key: (fx', fz', class word), as a fresh row */
     } else if (k == 1 && !(*fx | *fz)) {
         unsigned idx = draw_pauli(rng, cy->sites + SITE_ROW * chosen[0]);
         row = cy->fresh + FRESH_ROW * (cy->fresh_base[chosen[0]] + idx - 1);
@@ -440,11 +460,14 @@ static int run_cycle(const circuit_t *c, const cycle_t *cy, pcg64_t *rng,
             done = upto;
             apply_pauli(site, draw_pauli(rng, site), fx, fz);
         }
+        *link = NULL;
         return finish_cycle(c, cy, done, fx, fz);
     }
     *fx = row[0];
     *fz = row[1];
-    return (int)row[2];
+    const uint64_t slot = row[2] >> LINK_SHIFT;
+    *link = slot ? c->cycle[s ^ 1].idle + IDLE_ROW * (slot - 1) : NULL;
+    return (int)(row[2] & CLASS_MASK);
 }
 
 /* errors.sample_clean_run_length's floor(log1p(-u) / log_clean) from its
@@ -505,6 +528,7 @@ static int64_t skip_trial(const circuit_t *c, const rate_t *r, double inv,
     int64_t chosen[n];      /* 9·N bytes of stack: 6 kB at surface17's N = 675 */
     unsigned char mark[n];
     uint64_t fx = 0, fz = 0;
+    const uint64_t *link = NULL; /* the next zero-event cycle's idle row */
     int64_t t = 0;
     int clean = 1;
 
@@ -522,7 +546,7 @@ static int64_t skip_trial(const circuit_t *c, const rate_t *r, double inv,
         }
         if (k)
             choose_sites(rng, n, k, chosen, mark);
-        int cls = run_cycle(c, &c->cycle[t & 1], rng, chosen, k, &fx, &fz);
+        int cls = run_cycle(c, (int)(t & 1), rng, chosen, k, &fx, &fz, &link);
         t++;
         if (cls == LOGICAL_FLIP)
             return t;
@@ -573,6 +597,20 @@ static int grow_idle(cycle_t *cy, int s, grow_idle_fn grow)
     return 0;
 }
 
+/* Link each RESIDUAL row of `rows` (n of them, `width` words apart, each
+ * viewed from its result: fx', fz', class word) to `next`'s idle row of its
+ * result frame, which the walks made. */
+static void link_rows(uint64_t *rows, int64_t n, int64_t width, const cycle_t *next)
+{
+    for (uint64_t *row = rows; row < rows + width * n; row += width) {
+        if (row[2] != RESIDUAL)
+            continue;
+        const uint64_t *to = idle_row(next, row[0], row[1]);
+        if (to[0] | to[1])
+            row[2] |= (uint64_t)((to - next->idle) / IDLE_ROW + 1) << LINK_SHIFT;
+    }
+}
+
 /* Fill both cycles' tables.  Python allocates them: cycle s's fresh rows
  * (n_fresh of them), its fresh_base and idle_mask + 1 idle rows to start
  * from.  For every single fault (site, Pauli) of a cycle, its fresh row is
@@ -582,8 +620,10 @@ static int grow_idle(cycle_t *cy, int s, grow_idle_fn grow)
  * is clean or flipped or its (cycle, frame) row is already there, whose
  * orbit then is too.  An idle table whose rows would pass half its slots
  * moves to a table twice its size from `grow`, and the walk goes on, so
- * every row is made once.  Returns 0; -1 when a cycle's sites' Pauli counts
- * do not sum to its n_fresh; -2 when `grow` gave no table. */
+ * every row is made once.  Then, with every table at its final size, each
+ * residual fresh and idle row gets its link (link_rows).  Returns 0; -1
+ * when a cycle's sites' Pauli counts do not sum to its n_fresh; -2 when
+ * `grow` gave no table. */
 int64_t mfqec_fill_tables(circuit_t *c, grow_idle_fn grow)
 {
     for (int s = 0; s < 2; s++) {
@@ -630,6 +670,11 @@ int64_t mfqec_fill_tables(circuit_t *c, grow_idle_fn grow)
                 }
             }
         }
+    }
+    for (int s = 0; s < 2; s++) {
+        cycle_t *cy = &c->cycle[s];
+        link_rows(cy->fresh, cy->n_fresh, FRESH_ROW, &c->cycle[s ^ 1]);
+        link_rows(cy->idle + 2, cy->idle_mask + 1, IDLE_ROW, &c->cycle[s ^ 1]);
     }
     return 0;
 }

@@ -16,8 +16,13 @@ made in C by numpy's own ``SeedSequence`` hash and PCG64 seeding, from the
 Python allocates and C fills, in one pass, with the result of every single
 fault on the clean frame and of every zero-event cycle on those faults'
 noiseless orbits, which the trials read in place of running those cycles'
-ops.  The Python trial loop reads the same tables (``read_tables``), and
-``_FrameEngine._transition``, which runs a cycle's ops, is their oracle.
+ops.  A residual row also links to the other cycle's idle row of its result
+frame: its class word is ``class | (slot + 1) << 2``, set once every idle
+table has its final size, and a trial's zero-event cycle reads the row the
+last row read links to, so it probes an idle table only after a cycle that
+ran its ops.  The Python trial loop reads the same tables, links masked off
+(``read_tables``), and ``_FrameEngine._transition``, which runs a cycle's
+ops, is their oracle.
 The library is built on first use with ``gcc -O2 -shared -fPIC
 -ffp-contract=off``: no fast-math, no ``-march=native`` and no contraction
 into FMA, so that every double is rounded as Python rounds it and the trial
@@ -61,10 +66,13 @@ class Cycle(ctypes.Structure):
     """``cycle_t``: one compiled cycle and its tables.  ``ops`` rows are
     (opcode, mask, mask, mask); ``sites`` rows are (ops before the site's
     event, channel, three qubit masks).  ``fill_tables`` makes the rest:
-    ``fresh`` rows (fx', fz', class), one per single fault on the clean
-    frame, from row ``fresh_base[site]`` for the site's Pauli index 1 on;
-    ``idle_mask + 1`` open-addressed ``idle`` rows (fx, fz, fx', fz',
-    class), ``n_idle`` of them in use, the rest zero."""
+    ``fresh`` rows (fx', fz', class word), one per single fault on the
+    clean frame, from row ``fresh_base[site]`` for the site's Pauli index 1
+    on; ``idle_mask + 1`` open-addressed ``idle`` rows (fx, fz, fx', fz',
+    class word), ``n_idle`` of them in use, the rest zero.  A class word is
+    the class in its low ``LINK_SHIFT`` bits and, for a residual row, the
+    slot + 1 of the other cycle's idle row keyed by (fx', fz') above
+    them."""
     _fields_ = [("n_ops", _i64), ("ops", ctypes.POINTER(_u64)),
                 ("sites", ctypes.POINTER(_u64)), ("n_fresh", _i64),
                 ("fresh", ctypes.POINTER(_u64)), ("fresh_base", ctypes.POINTER(_i64)),
@@ -107,6 +115,7 @@ def pack_circuit(cycles, n_sites: int, gens, zl_mask: int, nondata_mask: int) ->
 
 
 FRESH_ROW, IDLE_ROW = 3, 5  # words per fresh row and per idle row
+LINK_SHIFT = 2  # a class word's link above its class bits
 _IDLE_SLOTS = 64  # the idle rows a table starts from, doubled while they overflow
 _GROW_IDLE = ctypes.CFUNCTYPE(ctypes.c_void_p, _i64, _i64)  # grow_idle_fn
 
@@ -155,17 +164,19 @@ def read_tables(packed: Circuit) -> list:
     """The filled tables of both cycles of ``packed`` as plain Python: per
     cycle, ``(faults, idle)``.  ``faults[i]`` lists site i's fresh rows
     (fx', fz', class) by Pauli index, 1 first; ``idle`` maps each frame
-    (fx, fz) in use to its row (fx', fz', class)."""
+    (fx, fz) in use to its row (fx', fz', class).  Links are masked off."""
+    mask = (1 << LINK_SHIFT) - 1
     tables = []
     for cyc in packed.cycle:
         rows = cyc.fresh[:FRESH_ROW * cyc.n_fresh]
-        rows = [tuple(rows[r:r + FRESH_ROW]) for r in range(0, len(rows), FRESH_ROW)]
+        rows = [(*rows[r:r + 2], rows[r + 2] & mask) for r in range(0, len(rows), FRESH_ROW)]
         bounds = [*cyc.fresh_base[:packed.n_sites], cyc.n_fresh]
         slots = cyc.idle[:IDLE_ROW * (cyc.idle_mask + 1)]
         idle = {}
         for r in range(0, len(slots), IDLE_ROW):
             if slots[r] | slots[r + 1]:
-                idle[slots[r], slots[r + 1]] = tuple(slots[r + 2:r + IDLE_ROW])
+                idle[slots[r], slots[r + 1]] = (slots[r + 2], slots[r + 3],
+                                                slots[r + 4] & mask)
         tables.append(([rows[lo:hi] for lo, hi in zip(bounds, bounds[1:])], idle))
     return tables
 

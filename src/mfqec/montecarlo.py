@@ -303,24 +303,28 @@ class _FrameEngine:
         return [0, 0]  # [x frame, z frame]
 
     def kernel_circuit(self):
-        """The compiled cycles and classifier masks as a ``kernel.Circuit``
-        for the C kernel, packed on first use, with the tables of every
-        single fault and its noiseless orbit (``kernel.fill_tables``) when
-        the library loads.  Packed in the calling thread and read-only
-        after, so the kernel's threads share it."""
+        """``pack(kernel.library())``, packed on first use and kept.  Packed
+        in the calling thread and read-only after, so the kernel's threads
+        share it."""
         if self._packed is None:
             from . import kernel
 
-            packed = kernel.pack_circuit(
-                [self._compiled[which][:2] for which in "ab"], _site_count(self.circuit),
-                self.gen_masks, self.zl_mask, self.nondata_mask)
-            lib = kernel.library()
-            if lib is not None:
-                kernel.fill_tables(lib, packed, [
-                    sum(site.n_paulis for site in self.circuit.error_sites(w))
-                    for w in "ab"])
-            self._packed = packed
+            self._packed = self.pack(kernel.library())
         return self._packed
+
+    def pack(self, lib):
+        """A new ``kernel.Circuit`` of the compiled cycles and classifier
+        masks, with the tables of every single fault and its noiseless orbit
+        filled by ``lib`` (``kernel.fill_tables``) unless ``lib`` is None."""
+        from . import kernel
+
+        packed = kernel.pack_circuit(
+            [self._compiled[which][:2] for which in "ab"], _site_count(self.circuit),
+            self.gen_masks, self.zl_mask, self.nondata_mask)
+        if lib is not None:
+            kernel.fill_tables(lib, packed, [
+                sum(site.n_paulis for site in self.circuit.error_sites(w)) for w in "ab"])
+        return packed
 
     @cached_property
     def _tables(self):
@@ -684,14 +688,21 @@ def trial_seed(master_seed: int, point_index: int, trial_index: int) -> int:
     return int(ss.generate_state(1, np.uint64)[0])
 
 
-def _sums_are_exact(a: np.ndarray) -> bool:
-    """Whether ``a`` is a non-empty 1-D set of at most 2**32 integers (of
-    any dtype) whose every resample sum is exact in a double."""
+def _exact_ints(a: np.ndarray):
+    """``a`` as a C-contiguous int64 array when it is a non-empty 1-D set of
+    at most 2**32 integers (of any dtype) whose every resample sum is exact
+    in a double; otherwise None."""
     if a.ndim != 1 or not 0 < a.size <= 1 << 32 or a.dtype.kind not in "iuf":
-        return False
-    if a.dtype.kind == "f" and not np.all(np.isfinite(a) & (a == np.trunc(a))):
-        return False
-    return max(int(a.max()), -int(a.min())) * a.size < 1 << 53
+        return None
+    hi, lo = a.max(), a.min()
+    if not (math.isfinite(hi) and math.isfinite(lo)):
+        return None
+    if max(int(hi), -int(lo)) * a.size >= 1 << 53:
+        return None
+    ints = np.ascontiguousarray(a, dtype=np.int64)
+    if a.dtype.kind == "f" and not (ints == a).all():
+        return None
+    return ints
 
 
 def resample_means(rng, sets, n_resamples: int) -> np.ndarray:
@@ -699,21 +710,22 @@ def resample_means(rng, sets, n_resamples: int) -> np.ndarray:
     row r, column j is ``sets[j][rng.integers(0, n_j, size=n_j)].mean()``,
     drawn resample by resample and set by set; ``rng`` is left where those
     draws leave it.  The C kernel makes the draws when ``rng``'s bit
-    generator is a ``PCG64``, the library loads, and every set passes
-    ``_sums_are_exact``: a resample's integer sum is then exact in any
+    generator is a ``PCG64``, the library loads, and every set is one that
+    ``_exact_ints`` takes: a resample's integer sum is then exact in any
     order, and sum / n is numpy's mean.  Otherwise the numpy loop below,
     the kernel's oracle, runs."""
     arrays = [np.asarray(s) for s in sets]
-    if (arrays and type(rng.bit_generator) is np.random.PCG64
-            and all(map(_sums_are_exact, arrays))):
-        from . import kernel
+    if arrays and type(rng.bit_generator) is np.random.PCG64:
+        ints = [_exact_ints(a) for a in arrays]
+        if all(i is not None for i in ints):
+            from . import kernel
 
-        lib = kernel.library()
-        if lib is not None:
-            sizes = np.array([a.size for a in arrays], dtype=np.int64)
-            values = np.concatenate(arrays).astype(np.int64)
-            return kernel.resample_sums(lib, rng.bit_generator, values, sizes,
-                                        n_resamples) / sizes
+            lib = kernel.library()
+            if lib is not None:
+                sizes = np.array([i.size for i in ints], dtype=np.int64)
+                values = ints[0] if len(ints) == 1 else np.concatenate(ints)
+                return kernel.resample_sums(lib, rng.bit_generator, values, sizes,
+                                            n_resamples) / sizes
     means = np.empty((n_resamples, len(arrays)))
     for r in range(n_resamples):
         for j, a in enumerate(arrays):
@@ -722,6 +734,38 @@ def resample_means(rng, sets, n_resamples: int) -> np.ndarray:
 
 
 BOOTSTRAP_RESAMPLES = 1000  # bootstrap means behind a point's CI
+_CI_QUANTILES = (2.5 / 100, 97.5 / 100)  # np.percentile's q / 100 of a 95% CI
+
+
+def percentile_ci(values) -> tuple:
+    """``tuple(np.percentile(values, [2.5, 97.5]))`` as Python floats, to
+    the bit, for a non-empty 1-D set of doubles.  Each percentile is
+    numpy's "linear" one: at virtual index v = (n - 1)·q, the order
+    statistics i = floor(v) and i + 1 (both the last one where v >= n - 1)
+    and weight t = v - i (1 there, as numpy's -1 index gives), interpolated
+    as numpy's ``_lerp`` does, from b when t >= 0.5.  One ``np.partition``
+    places those order statistics, the first and the last; a NaN, which
+    sorts last, makes both NaN, as in numpy."""
+    a = np.asarray(values, dtype=np.float64)
+    n = a.size
+    picks = []
+    for q in _CI_QUANTILES:
+        v = (n - 1) * q
+        i = math.floor(v)
+        if v >= n - 1:
+            i, t, j = n - 1, v + 1.0, n - 1
+        else:
+            t, j = v - i, i + 1
+        picks.append((i, j, t))
+    part = np.partition(a, sorted({0, n - 1, *(k for i, j, _ in picks for k in (i, j))}))
+    if math.isnan(part[n - 1]):
+        return math.nan, math.nan
+    out = []
+    for i, j, t in picks:
+        lo, hi = float(part[i]), float(part[j])
+        diff = hi - lo
+        out.append(hi - diff * (1.0 - t) if t >= 0.5 else lo + diff * t)
+    return tuple(out)
 
 
 def aggregate_rate_estimate(p, failure_cycles, n_censored: int, rng) -> SweepPoint:
@@ -738,8 +782,8 @@ def aggregate_rate_estimate(p, failure_cycles, n_censored: int, rng) -> SweepPoi
         ci = (1.0 / mean, 1.0 / mean)
     else:
         means = resample_means(rng, [samples], BOOTSTRAP_RESAMPLES)[:, 0]
-        lo_mean, hi_mean = np.percentile(means, [2.5, 97.5])
-        ci = (float(1.0 / hi_mean), float(1.0 / lo_mean))
+        lo_mean, hi_mean = percentile_ci(means)
+        ci = (1.0 / hi_mean, 1.0 / lo_mean)
     return SweepPoint(
         p=p,
         p_log=1.0 / mean,
@@ -753,11 +797,13 @@ def aggregate_rate_estimate(p, failure_cycles, n_censored: int, rng) -> SweepPoi
     )
 
 
+@lru_cache(maxsize=64)
 def kernel_rate(p, n_sites: int):
     """The kernel's ``Rate`` at (p, N): the constants of a trial's clean
     runs, error counts and binomial draws, from the Python samplers' own
     helpers, so a rejected p raises their error, and a p in numpy's BTPE
-    range ``_inversion_constants``'s ``ValueError``."""
+    range ``_inversion_constants``'s ``ValueError``.  Made once per (p, N)
+    and never written after, so estimates and their threads share it."""
     from . import kernel
 
     bin_p = min(p, 1.0 - p)
@@ -850,13 +896,16 @@ def estimate_logical_error_rate(
     trial order.
 
     ``_kernel_trials`` decides once whether the C kernel or ``run_trial``
-    runs the trials.  Either way they are cut into slices of ``tick``
-    trials, the progress step, and each slice returns each trial's flip
-    cycle, 0 when censored.  The slices run in this thread with one worker;
-    with more, on a thread pool when the kernel runs them, since ``ctypes``
-    drops the GIL around each kernel call, else on a process pool, since
-    ``run_trial`` holds it.  Forked workers inherit the circuit and engine
-    built here.  The thread pool is ``_pool`` when a sweep hands over its
+    runs the trials, in slices that each return each trial's flip cycle, 0
+    when censored.  Slices exist to report progress and to spread trials
+    over workers: with one worker and no ``progress``, all trials are one
+    slice, so a kernel estimate is one C call, and a SIGINT is handled only
+    when that call returns.  Otherwise the slices are of ``n_trials // 20``
+    trials (at least one), the progress step.  The slices run in this
+    thread with one worker; with more, on a thread pool when the kernel
+    runs them, since ``ctypes`` drops the GIL around each kernel call,
+    else on a process pool, since ``run_trial`` holds it.  Forked workers
+    inherit the circuit and engine built here.  The thread pool is ``_pool`` when a sweep hands over its
     own (``iter_sweep``), which outlives the call; otherwise the call
     opens a pool and shuts it down before it returns.  On any exception (a
     ``KeyboardInterrupt`` from ``progress``, a crashed worker) the slices
@@ -865,7 +914,7 @@ def estimate_logical_error_rate(
     for those."""
     if n_trials < 1:
         raise ValueError("n_trials must be >= 1")
-    tick = max(1, n_trials // 20)
+    tick = n_trials if workers <= 1 and progress is None else max(1, n_trials // 20)
     slices = [range(s, min(s + tick, n_trials)) for s in range(0, n_trials, tick)]
     block = _kernel_trials(make_engine(circuit_for(code.name, variant), engine),
                            p, max_cycles)

@@ -25,7 +25,7 @@ import numpy as np
 from .codes import CodeSpec
 from .circuits import Variant
 from .montecarlo import (AllCensored, SweepPoint, estimate_logical_error_rate,
-                         resample_means)
+                         percentile_ci, resample_means)
 
 __all__ = [
     "SweepPoint",
@@ -267,7 +267,7 @@ def find_threshold_crossing(
     curves[:, drawn] = 1.0 / means
     boot = [p for p in _crossings_of_curves(ps, curves) if p is not None]
     if boot:
-        ci = tuple(float(v) for v in np.percentile(boot, [2.5, 97.5]))
+        ci = percentile_ci(boot)
     else:
         ci = bracket
     return ThresholdEstimate(p_th=p_th, bracket=bracket, ci=ci)

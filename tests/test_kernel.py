@@ -618,6 +618,43 @@ def test_kernel_tables_equal_the_transitions():
         assert sum(cyc.n_idle for cyc in packed.cycle) == orbit_entries
 
 
+def _idle_slots(cyc) -> list:
+    """Every idle slot of the packed cycle ``cyc``, ``kernel.IDLE_ROW``
+    words each, empty ones included."""
+    slots = cyc.idle[:kernel.IDLE_ROW * (cyc.idle_mask + 1)]
+    return [slots[r:r + kernel.IDLE_ROW] for r in range(0, len(slots), kernel.IDLE_ROW)]
+
+
+def test_residual_rows_link_to_the_other_cycles_idle_row_of_their_result():
+    """On every circuit, each RESIDUAL fresh and idle row's class word holds
+    slot + 1 of the other cycle's idle row keyed by the row's result frame,
+    a row of the final, grown table; no CLEAN or FLIP row has a link, and
+    an empty idle slot stays all zero."""
+    kernel_library()
+    residual = CLASS_CODES[Classification.RESIDUAL]
+    class_mask = (1 << kernel.LINK_SHIFT) - 1
+    for name, variant in ORBIT_ENTRIES:
+        packed = _FrameEngine(circuit_for(name, variant)).kernel_circuit()
+        links = 0
+        for s, cyc in enumerate(packed.cycle):
+            other = _idle_slots(packed.cycle[1 - s])
+            fresh = cyc.fresh[:kernel.FRESH_ROW * cyc.n_fresh]
+            idle = _idle_slots(cyc)
+            results = [fresh[r:r + kernel.FRESH_ROW]
+                       for r in range(0, len(fresh), kernel.FRESH_ROW)]
+            results += [row[2:] for row in idle if row[0] | row[1]]
+            for fx, fz, word in results:
+                slot = word >> kernel.LINK_SHIFT
+                if word & class_mask != residual:
+                    assert slot == 0, name
+                    continue
+                assert 1 <= slot <= len(other), name
+                assert other[slot - 1][:2] == [fx, fz], name
+                links += 1
+            assert all(not any(row) for row in idle if not row[0] | row[1]), name
+        assert (links > 0) == (name != "unencoded"), name
+
+
 def test_idle_tables_grow_within_one_fill(monkeypatch):
     """An idle table about to pass half full moves to one of twice its
     slots and the fill goes on, so one ``mfqec_fill_tables`` call fills

@@ -36,6 +36,7 @@ from mfqec.montecarlo import (
     classify_state,
     estimate_logical_error_rate,
     make_engine,
+    percentile_ci,
     prepare_logical_zero,
     run_single_fault,
     run_trial,
@@ -737,6 +738,34 @@ def test_aggregate_bootstrap_is_seeded():
     assert a == b
 
 
+def _numpy_ci(values) -> tuple:
+    return tuple(float(v) for v in np.percentile(values, [2.5, 97.5]))
+
+
+def test_percentile_ci_is_numpys_percentile_to_the_bit():
+    """``percentile_ci`` is ``np.percentile(values, [2.5, 97.5])`` for sets
+    of 1, 2, 3 and 1,000 doubles, for sets with ties, sets of
+    integer-valued doubles and bootstrap means, and for every size from 1
+    to 200, where the interpolation weight falls on both sides of 0.5."""
+    rng = np.random.default_rng(7)
+    sets = [[0.25], [3.0, 1.0], [2.0, -1.0, 2.0], [np.nan, 1.0, 2.0],
+            rng.random(1000), rng.exponential(size=1000) * 1e-4,
+            rng.integers(0, 4, size=1000).astype(np.float64),
+            np.repeat(rng.random(10), 100), np.full(1000, 0.5),
+            1.0 / rng.geometric(0.01, size=1000).astype(np.float64)]
+    for n in range(1, 201):
+        sets += [rng.random(n), rng.integers(0, 3, size=n).astype(np.float64),
+                 rng.integers(0, 2**40, size=n).astype(np.float64)]
+    for values in sets:
+        got = percentile_ci(values)
+        assert repr(got) == repr(_numpy_ci(values)), len(values)
+        assert all(type(v) is float for v in got)
+    samples = np.array([3.0, 8.0, 8.0, 40.0, 41.0, 95.0])
+    means = montecarlo.resample_means(np.random.default_rng(3), [samples], 1000)[:, 0]
+    assert percentile_ci(means) == _numpy_ci(means)
+    assert percentile_ci(list(means)) == _numpy_ci(means)
+
+
 # ---------------------------------------------------------------------------
 # rate estimation end to end
 # ---------------------------------------------------------------------------
@@ -835,6 +864,29 @@ def test_kernel_estimate_runs_its_workers_on_threads(n, monkeypatch):
     kernel_library()
     monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", _no_process_pool)
     assert _estimate_with_progress(n, 2, "frame") == _estimate_with_progress(n, 1, "frame")
+
+
+def test_an_unwatched_one_worker_estimate_is_one_kernel_call(monkeypatch):
+    """With one worker and no ``progress``, an estimate runs all its trials
+    in one ``skip_block`` call; with a progress callback, or with two
+    workers, it runs 20 slices.  The three points are equal, by ``repr``."""
+    kernel_library()
+    calls = []
+    real = kernel.skip_block
+
+    def counting(*args):
+        calls.append(len(args[-1]))
+        return real(*args)
+
+    monkeypatch.setattr(kernel, "skip_block", counting)
+    reprs = []
+    for workers, progress in [(1, None), (1, lambda done, total: None), (2, None)]:
+        calls.clear()
+        reprs.append(repr(estimate_logical_error_rate(
+            BIT_FLIP_CODE, Variant.PERFECT, 0.02, 40, 42, workers=workers,
+            progress=progress)))
+        assert calls == ([40] if workers == 1 and progress is None else [2] * 20)
+    assert reprs[0] == reprs[1] == reprs[2]
 
 
 class _ProxyEngine:

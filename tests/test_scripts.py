@@ -124,13 +124,15 @@ def test_kernel_ab_times_head_against_itself(tmp_path):
 
 
 def test_kernel_ab_compares_the_shared_definitions():
-    """A kernel whose rate_t or mfqec_resample_sums parameters differ, even
-    by a name, is refused; comments and spacing are not a difference."""
+    """A kernel whose rate_t, mfqec_resample_sums or mfqec_fill_tables
+    parameters differ, even by a name, is refused; comments and spacing are
+    not a difference."""
     script = _load("kernel_ab")
     source = open(os.path.join(SCRIPTS, os.pardir, "src", "mfqec", "_kernel.c")).read()
     defs = script.shared_definitions(source)
     assert all(defs.values()) and set(defs) == {"cycle_t", "circuit_t", "rate_t",
-                                                "mfqec_skip_block", "mfqec_resample_sums"}
+                                                "mfqec_skip_block", "mfqec_resample_sums",
+                                                "mfqec_fill_tables"}
     respaced = source.replace("double log_clean;", "double  log_clean; /* x */")
     assert script.shared_definitions(respaced) == defs
     renamed = script.shared_definitions(source.replace("log_clean;", "log_dirty;"))
@@ -138,6 +140,9 @@ def test_kernel_ab_compares_the_shared_definitions():
     renamed = script.shared_definitions(source.replace("int64_t n_resamples, int64_t *out",
                                                        "int64_t n_draws, int64_t *out"))
     assert [k for k in defs if renamed[k] != defs[k]] == ["mfqec_resample_sums"]
+    renamed = script.shared_definitions(source.replace("circuit_t *c, grow_idle_fn grow",
+                                                       "circuit_t *c, grow_idle_fn more"))
+    assert [k for k in defs if renamed[k] != defs[k]] == ["mfqec_fill_tables"]
 
 
 def test_bench_pair_writes_the_pair_record(tmp_path):

@@ -203,6 +203,27 @@ def test_one_pass_scan_matches_the_scalar_crossing_row_by_row():
     assert sum(v is None for v in got[:2000]) > 100  # random rows that never cross
 
 
+def test_crossing_ci_is_numpys_percentile_of_the_bootstrap_crossings():
+    """The crossing's CI is ``np.percentile(boot, [2.5, 97.5])`` of the
+    crossings of the bootstrap curves that cross, whose number varies with
+    how noisy the curves are: bit for bit, for every such list."""
+    ps = np.geomspace(5e-3, 5e-2, 8)
+    rng = np.random.default_rng(12)
+    lengths = set()
+    for noise in (0.05, 0.3, 0.6, 1.0, 2.0):
+        for _ in range(40):
+            n_rows = int(rng.integers(1, 400))
+            curves = ps * np.exp(rng.normal(0.0, noise, size=(n_rows, 8))
+                                 + rng.uniform(-1.0, 2.0, size=(n_rows, 1))
+                                 * np.linspace(-1.0, 1.0, 8))
+            boot = [p for p in threshold._crossings_of_curves(ps, curves) if p is not None]
+            if boot:
+                lengths.add(len(boot))
+                want = tuple(float(v) for v in np.percentile(boot, [2.5, 97.5]))
+                assert montecarlo.percentile_ci(boot) == want
+    assert len(lengths) > 100 and min(lengths) < 10
+
+
 def test_unsorted_and_censored_points_are_handled():
     p0 = 0.013
     grid = np.geomspace(p0 / 5, p0 * 5, 9)
