@@ -183,9 +183,12 @@ def read_tables(packed: Circuit) -> list:
 
 def pack_rate(log_clean: float, count_cdf, p: float, q: float, qn: float,
               bound: int, reflect: bool) -> Rate:
-    """A ``Rate``; it keeps its count table alive."""
-    cdf = _array(_f64, count_cdf)
-    packed = Rate(log_clean, cdf, p, q, qn, bound, int(reflect))
+    """A ``Rate``; it keeps its count table alive.  The table goes through
+    numpy, which converts surface17's 675 floats several times faster than
+    ``_array``'s ``ctypes`` constructor."""
+    cdf = np.array(count_cdf, dtype=np.float64)
+    packed = Rate(log_clean, cdf.ctypes.data_as(ctypes.POINTER(_f64)), p, q, qn, bound,
+                  int(reflect))
     packed._keep = cdf
     return packed
 

@@ -745,7 +745,10 @@ def percentile_ci(values) -> tuple:
     and weight t = v - i (1 there, as numpy's -1 index gives), interpolated
     as numpy's ``_lerp`` does, from b when t >= 0.5.  One ``np.partition``
     places those order statistics, the first and the last; a NaN, which
-    sorts last, makes both NaN, as in numpy."""
+    sorts last, makes both NaN, as in numpy.  numpy computes its linear
+    percentiles this way from 1.22, this package's floor, on;
+    ``test_percentile_ci_is_numpys_percentile_to_the_bit`` compares the
+    two on the numpy installed."""
     a = np.asarray(values, dtype=np.float64)
     n = a.size
     picks = []
@@ -797,13 +800,11 @@ def aggregate_rate_estimate(p, failure_cycles, n_censored: int, rng) -> SweepPoi
     )
 
 
-@lru_cache(maxsize=64)
 def kernel_rate(p, n_sites: int):
     """The kernel's ``Rate`` at (p, N): the constants of a trial's clean
     runs, error counts and binomial draws, from the Python samplers' own
     helpers, so a rejected p raises their error, and a p in numpy's BTPE
-    range ``_inversion_constants``'s ``ValueError``.  Made once per (p, N)
-    and never written after, so estimates and their threads share it."""
+    range ``_inversion_constants``'s ``ValueError``."""
     from . import kernel
 
     bin_p = min(p, 1.0 - p)
@@ -896,16 +897,16 @@ def estimate_logical_error_rate(
     trial order.
 
     ``_kernel_trials`` decides once whether the C kernel or ``run_trial``
-    runs the trials, in slices that each return each trial's flip cycle, 0
-    when censored.  Slices exist to report progress and to spread trials
-    over workers: with one worker and no ``progress``, all trials are one
-    slice, so a kernel estimate is one C call, and a SIGINT is handled only
-    when that call returns.  Otherwise the slices are of ``n_trials // 20``
-    trials (at least one), the progress step.  The slices run in this
-    thread with one worker; with more, on a thread pool when the kernel
-    runs them, since ``ctypes`` drops the GIL around each kernel call,
-    else on a process pool, since ``run_trial`` holds it.  Forked workers
-    inherit the circuit and engine built here.  The thread pool is ``_pool`` when a sweep hands over its
+    runs the trials.  Either way they are cut into slices of ``tick``
+    trials, the progress step, and each slice returns each trial's flip
+    cycle, 0 when censored.  The slices are the same with or without
+    ``progress`` and for any worker count, so a SIGINT, which Python
+    handles when a kernel call returns, stops an estimate within one slice
+    per worker on every path.  The slices run in this thread with one worker; with
+    more, on a thread pool when the kernel runs them, since ``ctypes``
+    drops the GIL around each kernel call, else on a process pool, since
+    ``run_trial`` holds it.  Forked workers inherit the circuit and engine
+    built here.  The thread pool is ``_pool`` when a sweep hands over its
     own (``iter_sweep``), which outlives the call; otherwise the call
     opens a pool and shuts it down before it returns.  On any exception (a
     ``KeyboardInterrupt`` from ``progress``, a crashed worker) the slices
@@ -914,7 +915,7 @@ def estimate_logical_error_rate(
     for those."""
     if n_trials < 1:
         raise ValueError("n_trials must be >= 1")
-    tick = n_trials if workers <= 1 and progress is None else max(1, n_trials // 20)
+    tick = max(1, n_trials // 20)
     slices = [range(s, min(s + tick, n_trials)) for s in range(0, n_trials, tick)]
     block = _kernel_trials(make_engine(circuit_for(code.name, variant), engine),
                            p, max_cycles)

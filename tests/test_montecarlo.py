@@ -10,6 +10,7 @@ import concurrent.futures
 import hashlib
 import json
 import os
+import signal
 import subprocess
 import sys
 import threading
@@ -866,10 +867,8 @@ def test_kernel_estimate_runs_its_workers_on_threads(n, monkeypatch):
     assert _estimate_with_progress(n, 2, "frame") == _estimate_with_progress(n, 1, "frame")
 
 
-def test_an_unwatched_one_worker_estimate_is_one_kernel_call(monkeypatch):
-    """With one worker and no ``progress``, an estimate runs all its trials
-    in one ``skip_block`` call; with a progress callback, or with two
-    workers, it runs 20 slices.  The three points are equal, by ``repr``."""
+def _count_skip_blocks(monkeypatch) -> list:
+    """The trial count of each ``kernel.skip_block`` call from here on."""
     kernel_library()
     calls = []
     real = kernel.skip_block
@@ -879,14 +878,43 @@ def test_an_unwatched_one_worker_estimate_is_one_kernel_call(monkeypatch):
         return real(*args)
 
     monkeypatch.setattr(kernel, "skip_block", counting)
+    return calls
+
+
+def test_an_estimate_runs_20_slices_with_or_without_progress(monkeypatch):
+    """With one worker and no ``progress``, an estimate runs its trials in
+    the same 20 ``skip_block`` calls as with a progress callback or with
+    two workers, and the three points are equal, by ``repr``."""
+    calls = _count_skip_blocks(monkeypatch)
     reprs = []
     for workers, progress in [(1, None), (1, lambda done, total: None), (2, None)]:
         calls.clear()
         reprs.append(repr(estimate_logical_error_rate(
             BIT_FLIP_CODE, Variant.PERFECT, 0.02, 40, 42, workers=workers,
             progress=progress)))
-        assert calls == ([40] if workers == 1 and progress is None else [2] * 20)
+        assert calls == [2] * 20
     assert reprs[0] == reprs[1] == reprs[2]
+
+
+def test_a_sigint_stops_an_unwatched_estimate_within_a_slice(monkeypatch):
+    """A real SIGINT sent while a one-worker estimate without ``progress``
+    is in the kernel raises ``KeyboardInterrupt`` when that slice's call
+    returns: the 20,000 trials (seconds of work) stop before their 20th
+    slice of 1,000."""
+    estimate_logical_error_rate(SURFACE17_CODE, Variant.PERFECT, 4.2e-5, 1, 42)
+    calls = _count_skip_blocks(monkeypatch)
+    timer = threading.Timer(0.05, os.kill, (os.getpid(), signal.SIGINT))
+    handler = signal.signal(signal.SIGINT, signal.default_int_handler)
+    try:
+        timer.start()
+        with pytest.raises(KeyboardInterrupt):
+            estimate_logical_error_rate(SURFACE17_CODE, Variant.PERFECT, 4.2e-5,
+                                        20_000, 42)
+    finally:
+        timer.cancel()
+        signal.signal(signal.SIGINT, handler)
+    assert 0 < len(calls) < 20
+    assert set(calls) == {1000}
 
 
 class _ProxyEngine:
