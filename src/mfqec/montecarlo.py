@@ -33,11 +33,9 @@ Two interchangeable engines execute cycles:
 
 Both consume the RNG stream identically (only error sampling draws), so a
 trial gives bit-identical results under either engine; the test suite
-enforces that trial-for-trial.  A trial's draws come from raw PCG64 words,
-turned into doubles, bounded integers and binomial counts in Python exactly
-as ``np.random.Generator`` turns them (``_PCG64Draws``), so the stream is
-the one ``default_rng(seed)`` gives; only where numpy's binomial runs BTPE
-(min(p, 1-p)·N > 30) does a trial draw from ``default_rng`` itself.
+enforces that trial-for-trial.  A Python trial draws from
+``np.random.default_rng(seed)`` itself, and the C kernel below reproduces
+that stream.
 
 Estimates run whole trials in a C kernel (``_kernel.c``, built and loaded
 by ``mfqec.kernel``) when the engine is a plain frame engine, p > 0 and
@@ -445,105 +443,9 @@ def make_engine(circuit: Circuit, name: str):
 # trials
 # ---------------------------------------------------------------------------
 
-# Words taken from the bit generator at a time: a refill costs about as much
-# as 50 words, and a trial's unused words are dropped with it.
-_BLOCK = 64
-
-
-class _PCG64Draws:
-    """A trial's draws from ``PCG64(seed)``, the very draws
-    ``np.random.default_rng(seed)`` makes, computed in Python from raw
-    64-bit words taken ``_BLOCK`` at a time.
-
-    * ``random()`` is numpy's ``next_double``: the top 53 bits of a word.
-    * ``integers(low, high)`` is numpy's Lemire bounded draw on
-      ``next_uint32``, which spends the low half of a word and buffers the
-      high half for the next call; a range of one value draws nothing.
-    * ``binomial(n, p)`` is numpy's inversion, reflected for p > 0.5, with
-      its (n, p) constants kept between calls.  numpy switches to BTPE when
-      min(p, 1-p)·n > 30, which is not reproduced: those calls raise.
-
-    Ranges over 2**32 values, which numpy draws from whole words, raise
-    too.  On a 2-vCPU VM a scalar numpy draw took 0.8-2.8 µs, one of these
-    0.3-0.7 µs."""
-
-    __slots__ = ("_bitgen", "_words", "_half", "_binom")
-
-    def __init__(self, seed):
-        self._bitgen = np.random.PCG64(seed)
-        self._words = []  # the block, reversed, so that pop() takes the next word
-        self._half = None  # the buffered high half-word of next_uint32
-        self._binom = (None, None)  # (n, p) and constants of the last inversion
-
-    def _refill(self) -> int:
-        self._words = words = self._bitgen.random_raw(_BLOCK)[::-1].tolist()
-        return words.pop()
-
-    def random(self) -> float:
-        try:
-            word = self._words.pop()
-        except IndexError:
-            word = self._refill()
-        return (word >> 11) * 2**-53
-
-    def _next32(self) -> int:
-        half = self._half
-        if half is not None:
-            self._half = None
-            return half
-        try:
-            word = self._words.pop()
-        except IndexError:
-            word = self._refill()
-        self._half = word >> 32
-        return word & 0xFFFFFFFF
-
-    def integers(self, low: int, high: int = None) -> int:
-        if high is None:
-            low, high = 0, low
-        n = high - low
-        if n <= 1 or n > 1 << 32:
-            if n == 1:
-                return low
-            raise ValueError(f"integers({low}, {high}) is not a drawn range")
-        m = self._next32() * n
-        if m & 0xFFFFFFFF < n:
-            threshold = (1 << 32) % n  # numpy's (2**32 - n) % n
-            while m & 0xFFFFFFFF < threshold:
-                m = self._next32() * n
-        return low + (m >> 32)
-
-    def binomial(self, n: int, p: float) -> int:
-        if n == 0 or p == 0.0:
-            return 0
-        if p <= 0.5:
-            return self._inversion(n, p)
-        return n - self._inversion(n, 1.0 - p)
-
-    def _inversion(self, n: int, p: float) -> int:
-        key, consts = self._binom
-        if key != (n, p):
-            consts = _inversion_constants(n, p)
-            self._binom = ((n, p), consts)
-        q, qn, bound = consts
-        x = 0
-        px = qn
-        u = self.random()
-        while u > px:
-            x += 1
-            if x > bound:
-                x = 0
-                px = qn
-                u = self.random()
-            else:
-                u -= px
-                px = (n - x + 1) * p * px / (x * q)
-        return x
-
-
 def _inverts(n: int, p: float) -> bool:
     """Whether numpy's binomial(n, p) runs inversion, min(p, 1-p)·n <= 30;
-    above that it runs BTPE, which no trial path here reproduces."""
+    above that it runs BTPE, which the C kernel does not reproduce."""
     return min(p, 1.0 - p) * n <= 30.0
 
 
@@ -598,13 +500,10 @@ def run_trial(cfg: TrialConfig, engine, method: str = "skip") -> TrialResult:
     ``make_engine``.  ``method="full"`` simulates every cycle with
     Binomial(N, p) events instead of skipping provably clean stretches.
 
-    The trial draws from ``_PCG64Draws(cfg.seed)``, which makes the draws of
-    ``np.random.default_rng(cfg.seed)`` without numpy's per-call overhead,
-    whenever min(p, 1-p)·N <= 30: every acceptance grid and benchmark
-    workload.  Above that, numpy's binomial switches to BTPE, which the
-    stream does not reproduce, and the trial draws from ``default_rng``.
-    Estimates run this trial in the C kernel where they can
-    (``_kernel_trials``); this loop is the portable path and its oracle."""
+    The trial draws from ``np.random.default_rng(cfg.seed)``.  Estimates
+    run this trial in the C kernel where they can (``_kernel_trials``),
+    which makes the same draws from the same PCG64 stream; this loop is the
+    portable path and the kernel's oracle."""
     if method not in ("skip", "full"):
         raise ValueError("method must be 'skip' or 'full'")
     circuit = engine.circuit
@@ -614,10 +513,7 @@ def run_trial(cfg: TrialConfig, engine, method: str = "skip") -> TrialResult:
     n_sites = _site_count(circuit)
     sites_a = circuit.error_sites("a")
     sites_b = circuit.error_sites("b")
-    if _inverts(n_sites, cfg.p):
-        rng = _PCG64Draws(cfg.seed)
-    else:  # numpy's binomial runs BTPE here, which _PCG64Draws does not
-        rng = np.random.default_rng(cfg.seed)
+    rng = np.random.default_rng(cfg.seed)
     state = engine.new_run()
     t = 0
     clean = True
