@@ -21,6 +21,7 @@ import math
 from bisect import bisect_right
 from dataclasses import dataclass
 from functools import lru_cache
+from itertools import product
 
 import numpy as np
 
@@ -36,6 +37,10 @@ class ErrorChannel(enum.Enum):
     TWO_QUBIT = "two_qubit"
     THREE_QUBIT = "three_qubit"
     INIT = "init"
+
+    # Members compare by identity, so they may hash by it too: a site's hash
+    # then costs no Python call (Enum's own hashes the member's name).
+    __hash__ = object.__hash__
 
 
 @dataclass(frozen=True)
@@ -62,6 +67,13 @@ class ErrorEvent:
 
 _LETTERS = ("I", "X", "Y", "Z")
 
+# The non-identity Paulis on one, two and three qubits, by base-4 index of
+# their letters (first qubit most significant) less one: a draw of i picks
+# the Pauli of index i + 1, as the C kernel's draw_pauli numbers them.
+_PAULIS_1, _PAULIS_2, _PAULIS_3 = (tuple(product(_LETTERS, repeat=k))[1:] for k in (1, 2, 3))
+# Enum members as module names, which Python reads faster in a hot loop.
+_MEMORY, _TWO_QUBIT, _THREE_QUBIT, _INIT = ErrorChannel
+
 
 def _check_rate(p: float):
     if not 0.0 < p <= 1.0:
@@ -70,15 +82,13 @@ def _check_rate(p: float):
 
 def draw_event_paulis(channel: ErrorChannel, rng: np.random.Generator) -> tuple:
     """Uniform non-identity Pauli for a site known to err."""
-    if channel is ErrorChannel.MEMORY:
-        return (_LETTERS[1 + int(rng.integers(3))],)
-    if channel is ErrorChannel.TWO_QUBIT:
-        idx = int(rng.integers(1, 16))
-        return (_LETTERS[idx // 4], _LETTERS[idx % 4])
-    if channel is ErrorChannel.THREE_QUBIT:
-        idx = int(rng.integers(1, 64))
-        return (_LETTERS[idx // 16], _LETTERS[(idx // 4) % 4], _LETTERS[idx % 4])
-    if channel is ErrorChannel.INIT:
+    if channel is _MEMORY:
+        return _PAULIS_1[rng.integers(3)]
+    if channel is _TWO_QUBIT:
+        return _PAULIS_2[rng.integers(15)]
+    if channel is _THREE_QUBIT:
+        return _PAULIS_3[rng.integers(63)]
+    if channel is _INIT:
         return ("X",)
     raise ValueError(f"unknown channel {channel}")
 
@@ -118,7 +128,7 @@ def sample_clean_run_length(p: float, n_sites: int, rng: np.random.Generator) ->
     success probability 1 - (1-p)**n_sites, done in log space."""
     log_clean = clean_cycle_log_probability(p, n_sites)
     r = rng.random()
-    return int(math.floor(math.log1p(-r) / log_clean))
+    return math.floor(math.log1p(-r) / log_clean)
 
 
 def _count_table(p: float, n_sites: int) -> np.ndarray:

@@ -347,28 +347,25 @@ class _FrameEngine:
 
     @staticmethod
     def _exec(ops, a, b, fx, fz):
-        for i in range(a, b):
-            op = ops[i]
-            code = op[0]
+        for code, m1, m2, m3 in ops[a:b]:
             if code == _OP_CNOT:
-                if fx & op[1]:
-                    fx ^= op[2]
-                if fz & op[2]:
-                    fz ^= op[1]
+                if fx & m1:
+                    fx ^= m2
+                if fz & m2:
+                    fz ^= m1
             elif code == _OP_TOFX:
-                if (fx & op[1]) and (fx & op[2]):
-                    fx ^= op[3]
+                if (fx & m1) and (fx & m2):
+                    fx ^= m3
             elif code == _OP_TOFZ:
-                if (fx & op[1]) and (fx & op[2]):
-                    fz ^= op[3]
+                if (fx & m1) and (fx & m2):
+                    fz ^= m3
             elif code == _OP_RESET:
-                fx &= ~op[1]
-                fz &= ~op[1]
+                fx &= ~m1
+                fz &= ~m1
             else:  # H: swap the two frame bits on the qubit
-                m = op[1]
-                if bool(fx & m) != bool(fz & m):
-                    fx ^= m
-                    fz ^= m
+                if bool(fx & m1) != bool(fz & m1):
+                    fx ^= m1
+                    fz ^= m1
         return fx, fz
 
     def run_cycle(self, state, selector: str, events, rng=None) -> Classification:
@@ -469,8 +466,6 @@ def _choose_sites(n: int, k: int, rng) -> list:
     more bounded draws, in [0, i) for i = k ... 2.  ``rng.integers`` makes
     the same bounded draws, so the generator ends in the same state; the
     shuffle's draws are spent and ignored, since the sites come out sorted."""
-    if k == 1:
-        return [rng.integers(n)]
     chosen = set()
     for j in range(n - k, n):
         v = rng.integers(j + 1)
@@ -511,30 +506,38 @@ def run_trial(cfg: TrialConfig, engine, method: str = "skip") -> TrialResult:
         # no error can ever occur; the clean state survives to the cap
         return TrialResult(cfg.max_cycles, True)
     n_sites = _site_count(circuit)
-    sites_a = circuit.error_sites("a")
-    sites_b = circuit.error_sites("b")
+    cycles = (("a", circuit.error_sites("a")), ("b", circuit.error_sites("b")))
     rng = np.random.default_rng(cfg.seed)
     state = engine.new_run()
+    # What the loop reads every cycle is bound to locals: each cycle already
+    # pays numpy's per-call cost for every draw.
+    run_cycle = engine.run_cycle
+    p, max_cycles = cfg.p, cfg.max_cycles
+    skip = method == "skip"
+    flip, clean_zero = Classification.LOGICAL_FLIP, Classification.CLEAN_ZERO
     t = 0
     clean = True
-    while t < cfg.max_cycles:
-        if clean and method == "skip":
-            t += sample_clean_run_length(cfg.p, n_sites, rng)
-            if t >= cfg.max_cycles:
+    while t < max_cycles:
+        if clean and skip:
+            t += sample_clean_run_length(p, n_sites, rng)
+            if t >= max_cycles:
                 break
-            k = sample_error_count_given_any(cfg.p, n_sites, rng)
+            k = sample_error_count_given_any(p, n_sites, rng)
         else:
-            k = int(rng.binomial(n_sites, cfg.p))
-        sites = sites_a if t % 2 == 0 else sites_b
-        if k:
+            k = int(rng.binomial(n_sites, p))
+        selector, sites = cycles[t & 1]
+        if k == 1:  # _choose_sites' one draw, without its set and sort
+            site = sites[rng.integers(n_sites)]
+            events = (ErrorEvent(site, draw_event_paulis(site.channel, rng)),)
+        elif k:
             events = _draw_cycle_events(sites, _choose_sites(n_sites, k, rng), rng)
         else:
             events = ()
-        cls = engine.run_cycle(state, "a" if t % 2 == 0 else "b", events, rng)
+        cls = run_cycle(state, selector, events, rng)
         t += 1
-        if cls is Classification.LOGICAL_FLIP:
+        if cls is flip:
             return TrialResult(t, False)
-        clean = cls is Classification.CLEAN_ZERO
+        clean = cls is clean_zero
     return TrialResult(cfg.max_cycles, True)
 
 

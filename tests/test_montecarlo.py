@@ -527,8 +527,9 @@ def test_choose_sites_is_uniform_without_replacement():
     assert stats.chisquare(hits).pvalue > 1e-3
 
 
-# (n, p) of binomial draws for the stream test: p > 0.5 (reflected), p·n
-# just below 30 (the last inversion before BTPE), and n = 1.
+# (n, p) of the binomial cases of test_pcg64_draws_match_generator_on_edge_words:
+# p > 0.5 (reflected), p·n just below 30 (the last inversion before BTPE),
+# and n = 1.
 STREAM_BINOMIALS = ((25, 0.05), (675, 4.2e-5), (675, 0.0444), (64, 0.9),
                     (300, 0.0999), (1, 0.7))
 
