@@ -96,8 +96,10 @@ def _resample(lib, r, values, sizes, n_resamples):
     """``mfqec_resample_sums``'s sums and the final generator state, from
     the generator point r's bootstrap starts from."""
     rng = np.random.default_rng(np.random.SeedSequence([SEED, r]))
-    sums = kernel.resample_sums(lib, rng.bit_generator, values, sizes, n_resamples)
-    return sums.tobytes(), rng.bit_generator.state
+    sums = np.empty((n_resamples, len(sizes)), dtype=np.int64)
+    end = kernel.resample_sums(lib, kernel.generator_words(rng.bit_generator), values,
+                               sizes, sums)
+    return sums.tobytes(), end.tobytes()
 
 
 def main(argv=None) -> int:

@@ -316,7 +316,7 @@ def run_command(args) -> int:
         summary["error"] = stopped
     else:
         try:
-            est = find_threshold_crossing(points)
+            est = find_threshold_crossing(points, workers=cfg.workers)
             rows.append(_summary_row(cfg, est))
             summary["p_th"] = est.p_th
             summary["bracket"] = list(est.bracket)

@@ -3,7 +3,8 @@
 The kernel seeds and runs whole blocks of skip-sampled trials on a frame
 engine's compiled cycles (``montecarlo._kernel_trials`` decides when), and
 resamples bootstraps on a ``PCG64`` generator's own stream
-(``resample_sums``; ``montecarlo.resample_means`` decides when).  With no
+(``resample_sums``; ``montecarlo.resample_means`` decides when, and splits
+a large bootstrap into chunks that start at ``advanced_words``).  With no
 half-word buffered, the resampler takes a set's next 8 draws from 4 words
 that it computes at once, each by jumping the LCG ahead from the same
 state, and keeps them when none of their Lemire products has a low word
@@ -237,21 +238,62 @@ def skip_block(lib, circuit: Circuit, rate: Rate, max_cycles: int, prefix,
     return out[:]
 
 
-def resample_sums(lib, bit_generator, values, sizes, n_resamples: int):
-    """An (n_resamples, len(sizes)) int64 array: for each resample and each
-    set in order, the sum of ``sizes[j]`` values picked from set j by
-    ``integers(sizes[j])`` on the ``PCG64`` ``bit_generator``, whose state
-    is then set to where those draws leave it.  ``values`` holds the sets
-    concatenated; both are int64 arrays."""
+def generator_words(bit_generator) -> np.ndarray:
+    """The six words ``mfqec_resample_sums`` takes of the ``PCG64``
+    ``bit_generator``'s state: ``state_words`` and then the buffered
+    half-word and its flag, as a uint64 array."""
     state = bit_generator.state
-    words = np.array([*state_words(state), state["uinteger"], state["has_uint32"]],
-                     dtype=np.uint64)
-    out = np.empty((n_resamples, len(sizes)), dtype=np.int64)
-    lib.mfqec_resample_sums(words, values, sizes, len(sizes), n_resamples, out)
-    hi, lo, _, _, half, has_half = map(int, words)  # the increment stays
-    state["state"]["state"] = hi << 64 | lo
-    bit_generator.state = dict(state, has_uint32=has_half, uinteger=half)
-    return out
+    return np.array([*state_words(state), state["uinteger"], state["has_uint32"]],
+                    dtype=np.uint64)
+
+
+def set_generator_words(bit_generator, words) -> None:
+    """Set the ``PCG64`` ``bit_generator`` to the state of the six
+    ``words``."""
+    hi, lo, inc_hi, inc_lo, half, has_half = map(int, words)
+    bit_generator.state = {"bit_generator": "PCG64",
+                           "state": {"state": hi << 64 | lo, "inc": inc_hi << 64 | inc_lo},
+                           "has_uint32": has_half, "uinteger": half}
+
+
+def advanced_words(scratch, words, draws: int) -> np.ndarray:
+    """The six words of the state ``draws`` 32-bit draws after ``words``,
+    none rejected, reached by numpy's ``PCG64.advance`` on the ``PCG64``
+    ``scratch``.  A buffered half is the first draw; ``advance`` clears
+    it, so the half left buffered by an odd number of draws from whole
+    words, the high half of the last word, is set here."""
+    has_half = int(words[5])
+    if has_half and not draws:
+        return words.copy()
+    draws -= has_half
+    set_generator_words(scratch, words)
+    scratch.advance(draws // 2)
+    half = int(scratch.random_raw()) >> 32 if draws & 1 else 0
+    end = generator_words(scratch)
+    end[4:] = half, draws & 1
+    return end
+
+
+def same_state(a, b) -> bool:
+    """Whether the six words ``a`` and ``b`` are one state for every draw
+    to come: equal LCG state and increment, equal flag, and, when a half
+    is buffered, equal half.  An unflagged half is a spent word numpy
+    keeps but never reads.  A buffered half is the high half of the word
+    before the state, so on one stream it agrees whenever the rest does;
+    comparing it checks the half that ``advanced_words`` sets."""
+    return bool((a[:4] == b[:4]).all() and a[5] == b[5] and (not a[5] or a[4] == b[4]))
+
+
+def resample_sums(lib, words, values, sizes, out) -> np.ndarray:
+    """Fill the (n_resamples, len(sizes)) int64 array ``out``: for each
+    resample (row) and each set in order, the sum of ``sizes[j]`` values
+    picked from set j by ``integers(sizes[j])`` on the ``PCG64`` state of
+    the six ``words`` (``generator_words``).  Returns the words of the state
+    those draws end in; ``words`` is left as it was.  ``values`` holds the
+    sets concatenated; both are int64 arrays, and ``out`` is C-contiguous."""
+    end = words.copy()
+    lib.mfqec_resample_sums(end, values, sizes, len(sizes), len(out), out)
+    return end
 
 
 def library_path(directory, source=SOURCE) -> Path:

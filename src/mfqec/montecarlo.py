@@ -64,7 +64,11 @@ The kernel also resamples both bootstraps, a point's CI and the
 threshold's (``resample_means`` says when): from the caller's PCG64 state
 it makes numpy's ``integers`` draws and sums each resample exactly, so
 every CI is the numpy loop's, bit for bit.  So a tableau-only run builds
-the kernel too, on its first bootstrap.
+the kernel too, on its first bootstrap.  With more than one worker a
+large bootstrap runs as one chunk of resamples per worker at once, each
+chunk after the first from the state it would start from if no draw
+before it were rejected, and kept only when the chunk before it ended
+there (``_split_sums``); the CIs stay the single call's.
 
 An estimate is a point of the p_log(p) curve: ``estimate_logical_error_rate``
 returns a ``SweepPoint``, which a sweep (``mfqec.threshold``) records as
@@ -604,7 +608,17 @@ def _exact_ints(a: np.ndarray):
     return ints
 
 
-def resample_means(rng, sets, n_resamples: int) -> np.ndarray:
+# The fewest draws a bootstrap splits.  A split pays about 50-80 us: a
+# chunk's hand-off to a pool thread and back, its speculated start state,
+# and a second kernel call's glue.  Median times of a 2-way split over the
+# serial call, 1,000 resamples of one set, alternating, 2-vCPU VM: 1.55 at
+# 2**16 draws, 1.20 at 2**17, 0.93 at 2**18, 0.73 at 2**19 and 0.64 at
+# 1.1M (a bf-sweep point).
+_MIN_SPLIT_DRAWS = 1 << 18
+
+
+def resample_means(rng, sets, n_resamples: int, workers: int = 1,
+                   pool=None) -> np.ndarray:
     """Bootstrap means of each set: an (n_resamples, len(sets)) array whose
     row r, column j is ``sets[j][rng.integers(0, n_j, size=n_j)].mean()``,
     drawn resample by resample and set by set; ``rng`` is left where those
@@ -612,7 +626,14 @@ def resample_means(rng, sets, n_resamples: int) -> np.ndarray:
     generator is a ``PCG64``, the library loads, and every set is one that
     ``_exact_ints`` takes: a resample's integer sum is then exact in any
     order, and sum / n is numpy's mean.  Otherwise the numpy loop below,
-    the kernel's oracle, runs."""
+    the kernel's oracle, runs.
+
+    With ``workers > 1`` and at least ``_MIN_SPLIT_DRAWS`` draws, the
+    kernel's resamples are split into one chunk per worker, which run at
+    once (``_split_sums``): the first in this thread, the others on the
+    thread pool ``pool``, or on a pool of ``workers - 1`` threads that the
+    call opens and shuts down.  The means and the final state are the
+    single kernel call's, bit for bit."""
     arrays = [np.asarray(s) for s in sets]
     if arrays and type(rng.bit_generator) is np.random.PCG64:
         ints = [_exact_ints(a) for a in arrays]
@@ -623,13 +644,72 @@ def resample_means(rng, sets, n_resamples: int) -> np.ndarray:
             if lib is not None:
                 sizes = np.array([i.size for i in ints], dtype=np.int64)
                 values = ints[0] if len(ints) == 1 else np.concatenate(ints)
-                return kernel.resample_sums(lib, rng.bit_generator, values, sizes,
-                                            n_resamples) / sizes
+                sums = np.empty((n_resamples, len(sizes)), dtype=np.int64)
+                words = kernel.generator_words(rng.bit_generator)
+                draws = int(sizes[sizes > 1].sum())  # per resample; n = 1 draws nothing
+                if _splits(n_resamples, draws, workers):
+                    words = _split_sums(lib, words, values, sizes, sums, draws, workers,
+                                        pool)
+                else:
+                    words = kernel.resample_sums(lib, words, values, sizes, sums)
+                kernel.set_generator_words(rng.bit_generator, words)
+                return sums / sizes
     means = np.empty((n_resamples, len(arrays)))
     for r in range(n_resamples):
         for j, a in enumerate(arrays):
             means[r, j] = a[rng.integers(0, a.size, size=a.size)].mean()
     return means
+
+
+def _splits(n_resamples: int, draws: int, workers: int) -> bool:
+    """Whether ``n_resamples`` resamples of ``draws`` draws each are split
+    over ``workers``."""
+    return (workers > 1 and n_resamples > 1
+            and n_resamples * draws >= max(_MIN_SPLIT_DRAWS, 1))
+
+
+def _split_sums(lib, words, values, sizes, sums, draws: int, workers: int, pool):
+    """``kernel.resample_sums(lib, words, values, sizes, sums)``, the rows of
+    ``sums`` cut into consecutive chunks, one per worker, that run at once:
+    the first here, the rest on ``pool`` (None: a pool opened for the
+    call).  Chunk 0 starts from ``words``; chunk i from the state that
+    ``draws`` draws per resample before it reach when none is rejected
+    (``kernel.advanced_words``).  Chunk i is kept when chunk i - 1 really
+    ended in that state (``kernel.same_state``); from the first that did
+    not, the rows left are split again from its true end state, so every
+    sum and the returned end state are the single call's.  Every chunk
+    submitted is waited for before the call returns or raises, so no
+    kernel call outlives its arrays."""
+    from . import kernel
+
+    if pool is None:
+        from concurrent.futures import ThreadPoolExecutor
+
+        with ThreadPoolExecutor(max_workers=workers - 1) as own:
+            return _split_sums(lib, words, values, sizes, sums, draws, workers, own)
+    scratch = np.random.PCG64(0)  # advanced_words's generator
+    done, n_resamples = 0, len(sums)
+    while _splits(n_resamples - done, draws, workers):
+        step = -(-(n_resamples - done) // workers)
+        bounds = [*range(done, n_resamples, step), n_resamples]
+        starts = [words] + [kernel.advanced_words(scratch, words, (b - done) * draws)
+                            for b in bounds[1:-1]]
+        chunks = []
+        try:
+            for start, lo, hi in zip(starts[1:], bounds[1:], bounds[2:]):
+                chunks.append(pool.submit(kernel.resample_sums, lib, start, values, sizes,
+                                          sums[lo:hi]))
+            ends = [kernel.resample_sums(lib, words, values, sizes, sums[done:bounds[1]])]
+        finally:
+            for chunk in chunks:
+                chunk.exception()  # waits; a chunk's error is raised by result() below
+        ends += [chunk.result() for chunk in chunks]
+        missed = next((i for i in range(1, len(ends))
+                       if not kernel.same_state(ends[i - 1], starts[i])), None)
+        if missed is None:
+            return ends[-1]
+        done, words = bounds[missed], ends[missed - 1]
+    return kernel.resample_sums(lib, words, values, sizes, sums[done:])
 
 
 BOOTSTRAP_RESAMPLES = 1000  # bootstrap means behind a point's CI
@@ -670,11 +750,13 @@ def percentile_ci(values) -> tuple:
     return tuple(out)
 
 
-def aggregate_rate_estimate(p, failure_cycles, n_censored: int, rng) -> SweepPoint:
+def aggregate_rate_estimate(p, failure_cycles, n_censored: int, rng, workers: int = 1,
+                            pool=None) -> SweepPoint:
     """The point at ``p`` from the cycles to failure of its uncensored
     trials and its count of censored ones: p_log = 1/mean, with the 95%
     percentile CI of ``BOOTSTRAP_RESAMPLES`` bootstrap means drawn from
-    ``rng``.  Raises AllCensored when no trial failed."""
+    ``rng`` (``resample_means`` on ``workers`` and ``pool``).  Raises
+    AllCensored when no trial failed."""
     samples = np.asarray(failure_cycles, dtype=np.float64)
     n_trials = samples.size + n_censored
     if samples.size == 0:
@@ -683,7 +765,7 @@ def aggregate_rate_estimate(p, failure_cycles, n_censored: int, rng) -> SweepPoi
     if samples.size == 1 or np.all(samples == samples[0]):
         ci = (1.0 / mean, 1.0 / mean)
     else:
-        means = resample_means(rng, [samples], BOOTSTRAP_RESAMPLES)[:, 0]
+        means = resample_means(rng, [samples], BOOTSTRAP_RESAMPLES, workers, pool)[:, 0]
         lo_mean, hi_mean = percentile_ci(means)
         ci = (1.0 / hi_mean, 1.0 / lo_mean)
     return SweepPoint(
@@ -807,7 +889,10 @@ def estimate_logical_error_rate(
     ``run_trial`` holds it.  Forked workers inherit the circuit and engine
     built here.  The thread pool is ``_pool`` when a sweep hands over its
     own (``iter_sweep``), which outlives the call; otherwise the call
-    opens a pool and shuts it down before it returns.  On any exception (a
+    opens a pool and shuts it down before it returns.  The bootstrap then
+    splits its resamples over ``workers`` on that thread pool, after the
+    last slice (``resample_means``); on a process pool's path it has only
+    a sweep's thread pool, or opens its own.  On any exception (a
     ``KeyboardInterrupt`` from ``progress``, a crashed worker) the slices
     of this call not yet started are cancelled, so at most one slice per
     worker still runs; a pool the call opened is also shut down, waiting
@@ -841,17 +926,17 @@ def estimate_logical_error_rate(
             cycles += part
             if progress is not None:
                 progress(len(cycles), n_trials)
+        failure_cycles = [c for c in cycles if c]
+        boot_rng = np.random.default_rng(
+            np.random.SeedSequence([master_seed, point_index])
+        )
+        return aggregate_rate_estimate(p, failure_cycles, n_trials - len(failure_cycles),
+                                       boot_rng, workers, _pool)
     finally:
         if workers > 1:
             parts.close()  # cancels the slices not yet started
         if owned is not None:
             owned.shutdown(cancel_futures=True)
-    failure_cycles = [c for c in cycles if c]
-    boot_rng = np.random.default_rng(
-        np.random.SeedSequence([master_seed, point_index])
-    )
-    return aggregate_rate_estimate(p, failure_cycles,
-                                   n_trials - len(failure_cycles), boot_rng)
 
 
 # ---------------------------------------------------------------------------

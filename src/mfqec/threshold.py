@@ -226,6 +226,7 @@ def find_threshold_crossing(
     *,
     n_bootstrap: int = 1000,
     seed: int = 0,
+    workers: int = 1,
 ) -> ThresholdEstimate:
     """Locate p_th where p_log(p) crosses the identity line.
 
@@ -234,7 +235,10 @@ def find_threshold_crossing(
     recomputes p_log = 1/mean, and re-locates the crossing; resamples
     whose curve fails to cross are dropped.  Points lacking raw failure
     times are held fixed at their point estimate.  Raises NoCrossing
-    when the observed curve does not cross the identity line.
+    when the observed curve does not cross the identity line.  With
+    ``workers > 1`` the bootstrap's resamples are split over that many
+    threads (``resample_means``), in a pool opened only to split; the
+    estimate is the same for any ``workers``.
     """
     usable = [
         pt
@@ -262,6 +266,7 @@ def find_threshold_crossing(
         np.random.default_rng(seed),
         [np.asarray(usable[j].failure_cycles, dtype=np.float64) for j in drawn],
         n_bootstrap,
+        workers,
     )
     curves = np.tile(p_logs, (n_bootstrap, 1))
     curves[:, drawn] = 1.0 / means

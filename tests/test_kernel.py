@@ -343,6 +343,143 @@ def test_resample_blocks_match_numpy_on_edge_words(n, monkeypatch):
     assert len(calls) == cases
 
 
+def _rejecting_state(n, position, buffered):
+    """A PCG64 state dict whose draw ``position`` (0 is the first, a
+    buffered half included) is an ``integers(n)`` draw that Lemire rejects:
+    its half has low product 0 with n, below 2**32 % n when n is not a
+    power of 2."""
+    half = _half_with_low_product(n, 0)
+    at = position - buffered  # the draw's place among whole words' halves
+    other = 0x9E3779B9
+    word = half | other << 32 if at % 2 == 0 else other | half << 32
+    state = _stepped_back(_pcg64_state_emitting(word), at // 2)
+    if buffered:
+        state = dict(state, has_uint32=1, uinteger=0x2545F491)
+    return state
+
+
+def _counted_resample_sums(monkeypatch) -> list:
+    """A list that gets one entry per ``kernel.resample_sums`` call, from
+    any thread."""
+    calls = []
+    real = kernel.resample_sums
+    monkeypatch.setattr(kernel, "resample_sums", lambda *a: calls.append(1) or real(*a))
+    return calls
+
+
+def _sets(*sizes):
+    return [np.arange(n, dtype=np.int64) * (3 + j) + j for j, n in enumerate(sizes)]
+
+
+# (workers, sets, resamples, buffered half, rejected draw): each split into
+# `workers` chunks, whose first holds a rejected draw of the first set.  The chunk bounds of
+# "odd-words" (15 draws per resample) fall at odd draws, 75 for 2 workers
+# and 45 for 3, so that the state a chunk starts from has a half buffered.
+SPLIT_CASES = {
+    "2-chunks": (2, _sets(20), 10, False, 0),
+    "3-chunks": (3, _sets(20), 10, False, 3),
+    "4-chunks": (4, _sets(20), 10, False, 5),
+    "multi-set": (3, _sets(9, 4, 1, 13), 11, False, 2),
+    "buffered-half": (2, _sets(11), 8, True, 0),
+    "odd-words": (2, _sets(7, 5, 3), 9, False, 1),
+    "odd-words-buffered": (3, _sets(7, 5, 3), 9, True, 4),
+}
+
+
+@pytest.mark.parametrize("case", list(SPLIT_CASES))
+def test_split_resamples_match_numpy_and_the_single_call(case, monkeypatch):
+    """A bootstrap split over workers gives the numpy loop's means and
+    final state, and the single kernel call's, when its first chunk holds a
+    rejection: the other chunks' speculated starts are a draw short, and
+    the resamples after the first chunk are split again from its end."""
+    kernel_library()
+    workers, sets, n_resamples, buffered, position = SPLIT_CASES[case]
+    monkeypatch.setattr(montecarlo, "_MIN_SPLIT_DRAWS", 0)
+    calls = _counted_resample_sums(monkeypatch)
+    state = _rejecting_state(sets[0].size, position, buffered)
+    rngs = [np.random.default_rng() for _ in range(3)]
+    for rng in rngs:
+        rng.bit_generator.state = state
+    split = resample_means(rngs[0], sets, n_resamples, workers)
+    assert len(calls) > workers  # the first split missed and split again
+    single = resample_means(rngs[1], sets, n_resamples)
+    expected = _numpy_resample_means(rngs[2], sets, n_resamples)
+    assert split.tobytes() == single.tobytes() == expected.tobytes()
+    assert _state(rngs[0]) == _state(rngs[1]) == _state(rngs[2])
+
+
+@pytest.mark.parametrize("case", list(SPLIT_CASES))
+def test_split_resamples_keep_every_chunk_without_a_rejection(case, monkeypatch):
+    """With no rejection in the stream, every chunk's speculated start is
+    the previous chunk's end, buffered half included, so the split makes
+    one kernel call per chunk; the means and the final state are numpy's."""
+    kernel_library()
+    workers, sets, n_resamples, buffered, _ = SPLIT_CASES[case]
+    monkeypatch.setattr(montecarlo, "_MIN_SPLIT_DRAWS", 0)
+    calls = _counted_resample_sums(monkeypatch)
+    rngs = [_rng_with_buffered_half() if buffered else np.random.default_rng(3)
+            for _ in range(2)]
+    split = resample_means(rngs[0], sets, n_resamples, workers)
+    assert len(calls) == workers
+    expected = _numpy_resample_means(rngs[1], sets, n_resamples)
+    assert split.tobytes() == expected.tobytes()
+    assert _state(rngs[0]) == _state(rngs[1])
+
+
+@pytest.mark.parametrize("workers", [2, 3, 4])
+def test_split_resamples_match_numpy_on_a_rejecting_stream(workers, monkeypatch):
+    """``SeedSequence([1, 5])`` rejects a draw of range 1,100 within its
+    first 1,000 resamples, so a split of them re-splits; the means and the
+    final state are numpy's and the single call's."""
+    kernel_library()
+    values = np.random.default_rng(0).geometric(0.02, size=1100)
+    calls = _counted_resample_sums(monkeypatch)
+    rngs = [np.random.default_rng(np.random.SeedSequence([1, 5])) for _ in range(3)]
+    split = resample_means(rngs[0], [values], 1000, workers)
+    assert len(calls) > workers
+    single = resample_means(rngs[1], [values], 1000)
+    expected = _numpy_resample_means(rngs[2], [values], 1000)
+    assert split.tobytes() == single.tobytes() == expected.tobytes()
+    assert _state(rngs[0]) == _state(rngs[1]) == _state(rngs[2])
+
+
+def test_split_waits_for_its_chunks_when_the_callers_chunk_raises(monkeypatch):
+    """When the chunk run in the calling thread raises (here a
+    ``KeyboardInterrupt``), ``resample_means`` raises it only once every
+    chunk it submitted to the pool has returned, so no kernel call still
+    writes an array the caller has let go."""
+    kernel_library()
+    monkeypatch.setattr(montecarlo, "_MIN_SPLIT_DRAWS", 0)
+    real = kernel.resample_sums
+    lock = threading.Lock()
+    running, finished = [0], [0]
+    started = threading.Event()
+
+    def resample_sums(*args):
+        if threading.current_thread() is threading.main_thread():
+            assert started.wait(timeout=10)
+            raise KeyboardInterrupt
+        with lock:
+            running[0] += 1
+        started.set()
+        try:
+            threading.Event().wait(0.2)
+            return real(*args)
+        finally:
+            with lock:
+                running[0] -= 1
+                finished[0] += 1
+
+    monkeypatch.setattr(kernel, "resample_sums", resample_sums)
+    pool = concurrent.futures.ThreadPoolExecutor(max_workers=3)
+    try:
+        with pytest.raises(KeyboardInterrupt):
+            resample_means(np.random.default_rng(4), _sets(30), 12, 3, pool)
+        assert (running[0], finished[0]) == (0, 2)
+    finally:
+        pool.shutdown(wait=True)
+
+
 def test_threshold_bootstrap_holds_points_without_failure_times(monkeypatch):
     """Points with no failure times are held at their p_log, and the
     kernel resamples the others in one call, as the numpy loop does."""

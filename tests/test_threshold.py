@@ -403,3 +403,23 @@ def test_bootstrap_cis_match_the_pinned_stream():
     assert [pt.n_failures for pt in points] == [199] * 4
     est = find_threshold_crossing(points, n_bootstrap=500, seed=1)
     assert (est.p_th, est.ci) == CI_PIN_THRESHOLD
+
+
+def test_bootstrap_cis_match_the_pinned_stream_split_over_workers(monkeypatch):
+    """With every bootstrap split over two workers, the pinned sweep's CIs
+    and its crossing are the pinned ones."""
+    from mfqec import kernel
+
+    kernel_library()
+    monkeypatch.setattr(montecarlo, "_MIN_SPLIT_DRAWS", 0)
+    calls = []
+    real = kernel.resample_sums
+    monkeypatch.setattr(kernel, "resample_sums", lambda *a: calls.append(1) or real(*a))
+    points = list(iter_sweep(
+        BIT_FLIP_CODE, Variant.SIMPLIFIED, CI_PIN_GRID, 199, 42, engine="frame",
+        workers=2,
+    ))
+    assert [(pt.ci_low, pt.ci_high) for pt in points] == CI_PIN_POINTS
+    est = find_threshold_crossing(points, n_bootstrap=500, seed=1, workers=2)
+    assert (est.p_th, est.ci) == CI_PIN_THRESHOLD
+    assert len(calls) >= 2 * (len(CI_PIN_GRID) + 1)  # every bootstrap split
