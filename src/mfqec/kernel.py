@@ -250,7 +250,7 @@ def generator_words(bit_generator) -> np.ndarray:
 def set_generator_words(bit_generator, words) -> None:
     """Set the ``PCG64`` ``bit_generator`` to the state of the six
     ``words``."""
-    hi, lo, inc_hi, inc_lo, half, has_half = map(int, words)
+    hi, lo, inc_hi, inc_lo, half, has_half = words.tolist()
     bit_generator.state = {"bit_generator": "PCG64",
                            "state": {"state": hi << 64 | lo, "inc": inc_hi << 64 | inc_lo},
                            "has_uint32": has_half, "uinteger": half}

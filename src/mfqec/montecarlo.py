@@ -646,7 +646,8 @@ def resample_means(rng, sets, n_resamples: int, workers: int = 1,
                 values = ints[0] if len(ints) == 1 else np.concatenate(ints)
                 sums = np.empty((n_resamples, len(sizes)), dtype=np.int64)
                 words = kernel.generator_words(rng.bit_generator)
-                draws = int(sizes[sizes > 1].sum())  # per resample; n = 1 draws nothing
+                # draws per resample, which a split needs; n = 1 draws nothing
+                draws = int(sizes[sizes > 1].sum()) if workers > 1 else 0
                 if _splits(n_resamples, draws, workers):
                     words = _split_sums(lib, words, values, sizes, sums, draws, workers,
                                         pool)
