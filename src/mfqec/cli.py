@@ -5,9 +5,11 @@ Subcommands
 -----------
 ``run``
     Execute a threshold sweep described by a JSON config file and/or
-    command-line flags (flags override the file, field by field).  Writes
-    one CSV row per grid point plus, when the curve crosses the identity
-    line, a final summary row carrying the threshold estimate.  Exit
+    command-line flags (flags override the file, field by field).  The
+    fields of ``RunConfig`` are the run's settings: each is a config key and
+    the ``dest`` of a flag.  Writes one CSV row per grid point plus, when
+    the curve crosses the identity line, a final summary row carrying the
+    threshold estimate; ``CSV_HEADER`` names the columns of both.  Exit
     status: 0 on success, 1 on configuration errors, 2 when the sweep
     completed but the curve never crossed the identity line (the point
     data is still written).  A run that is interrupted, whose pool worker
@@ -38,17 +40,12 @@ import json
 import math
 import os
 import sys
-from dataclasses import dataclass, fields
+from dataclasses import MISSING, dataclass, fields
 
 from .circuits import CIRCUITS, Variant, build_circuit, circuit_listing
 from .codes import CODES
 from .montecarlo import ENGINES
-from .threshold import (
-    NoCrossing,
-    SweepPoint,
-    find_threshold_crossing,
-    iter_sweep,
-)
+from .threshold import NoCrossing, find_threshold_crossing, iter_sweep
 
 CSV_HEADER = [
     "code",
@@ -92,7 +89,7 @@ class RunConfig:
     engine: str = "frame"
 
     def __post_init__(self):
-        if self.code not in CODES:
+        if not isinstance(self.code, str) or self.code not in CODES:
             raise ConfigError(
                 f"code: must be one of {sorted(CODES)}, got {self.code!r}"
             )
@@ -119,11 +116,15 @@ class RunConfig:
                 f"master_seed: must be a non-negative integer, got "
                 f"{self.master_seed!r}"
             )
-        if self.engine not in ENGINES:
+        if not isinstance(self.engine, str) or self.engine not in ENGINES:
             takes = " or ".join(repr(name) for name in ENGINES)
             raise ConfigError(f"engine: must be {takes}, got {self.engine!r}")
-        if not self.output_path:
-            raise ConfigError("output_path: must be a non-empty path")
+        path = self.output_path
+        # open() takes an int as a file descriptor: JSON true is 1, stdout
+        if not isinstance(path, (str, os.PathLike)) or not os.fspath(path):
+            raise ConfigError(
+                f"output_path: must be a non-empty path, got {path!r}"
+            )
 
     @property
     def code_spec(self):
@@ -170,10 +171,11 @@ def _fmt(value) -> str:
 
 
 def load_run_config(config_path, overrides: dict) -> RunConfig:
-    """Merge a JSON config file (optional) with flag overrides; overrides
-    win field by field.  Unknown file keys are configuration errors.
-    ``workers`` comes from the flag, else the file, else
-    ``$MFQEC_WORKERS``, else 1."""
+    """Merge a JSON config file (optional) with flag overrides, both keyed
+    by ``RunConfig`` field name; overrides that are not None win field by
+    field.  Unknown file keys are configuration errors, and so is a missing
+    field that has no default.  ``workers`` comes from the flag, else the
+    file, else ``$MFQEC_WORKERS``, else 1."""
     merged: dict = {}
     if config_path is not None:
         try:
@@ -206,8 +208,8 @@ def load_run_config(config_path, overrides: dict) -> RunConfig:
             raise ConfigError(
                 f"p_grid: must be a list of numbers, got {merged['p_grid']!r}"
             )
-    missing = [k for k in ("code", "variant", "p_grid", "trials", "master_seed")
-               if k not in merged]
+    missing = [f.name for f in fields(RunConfig)
+               if f.default is MISSING and f.name not in merged]
     if missing:
         raise ConfigError(f"{missing[0]}: required field missing")
     try:
@@ -216,36 +218,11 @@ def load_run_config(config_path, overrides: dict) -> RunConfig:
         raise ConfigError(f"config: {exc}")
 
 
-def _point_row(cfg: RunConfig, pt: SweepPoint) -> list:
-    return [
-        cfg.code,
-        cfg.variant,
-        _fmt(pt.p),
-        _fmt(pt.n_trials),
-        _fmt(pt.n_failures),
-        _fmt(pt.n_censored),
-        _fmt(pt.mean_cycles),
-        _fmt(pt.p_log),
-        _fmt(pt.ci_low),
-        _fmt(pt.ci_high),
-        _fmt(cfg.master_seed),
-    ]
-
-
-def _summary_row(cfg: RunConfig, est) -> list:
-    return [
-        cfg.code,
-        cfg.variant,
-        _fmt(est.p_th),
-        "",
-        "",
-        "",
-        "",
-        _fmt(est.p_th),
-        _fmt(est.ci[0]),
-        _fmt(est.ci[1]),
-        _fmt(cfg.master_seed),
-    ]
+def _row(cfg: RunConfig, **columns) -> list:
+    """A CSV row: the ``CSV_HEADER`` columns named in ``columns``, ``code``,
+    ``variant`` and ``seed`` from ``cfg``, and every other column empty."""
+    columns.update(code=cfg.code, variant=cfg.variant, seed=cfg.master_seed)
+    return [_fmt(columns.get(name)) for name in CSV_HEADER]
 
 
 def _write_csv(path, rows, partial: bool):
@@ -262,17 +239,7 @@ def run_command(args) -> int:
     # process that never runs a sweep should not pay for
     from concurrent.futures.process import BrokenProcessPool
 
-    overrides = {
-        "code": args.code,
-        "variant": args.variant,
-        "p_grid": args.p,
-        "trials": args.trials,
-        "master_seed": args.seed,
-        "max_cycles": args.max_cycles,
-        "workers": args.workers,
-        "output_path": args.out,
-        "engine": args.engine,
-    }
+    overrides = {f.name: getattr(args, f.name) for f in fields(RunConfig)}
     cfg = load_run_config(args.config, overrides)
 
     progress = (lambda msg: print(msg, file=sys.stderr, flush=True))
@@ -291,7 +258,10 @@ def run_command(args) -> int:
             progress=progress,
         ):
             points.append(pt)
-            rows.append(_point_row(cfg, pt))
+            rows.append(_row(cfg, p=pt.p, trials=pt.n_trials,
+                             failures=pt.n_failures, censored=pt.n_censored,
+                             mean_cycles=pt.mean_cycles, p_log=pt.p_log,
+                             ci_low=pt.ci_low, ci_high=pt.ci_high))
     except KeyboardInterrupt:
         stopped = "interrupted"
     except BrokenProcessPool as exc:
@@ -317,7 +287,8 @@ def run_command(args) -> int:
     else:
         try:
             est = find_threshold_crossing(points, workers=cfg.workers)
-            rows.append(_summary_row(cfg, est))
+            rows.append(_row(cfg, p=est.p_th, p_log=est.p_th, ci_low=est.ci[0],
+                             ci_high=est.ci[1]))
             summary["p_th"] = est.p_th
             summary["bracket"] = list(est.bracket)
             summary["ci"] = list(est.ci)
@@ -457,12 +428,12 @@ def build_parser() -> argparse.ArgumentParser:
     run.add_argument("--code", choices=sorted(CODES))
     run.add_argument("--variant", choices=VARIANTS)
     run.add_argument(
-        "--p", "--p-grid", dest="p", type=float, action="append",
+        "--p", "--p-grid", dest="p_grid", type=float, action="append",
         help="physical error rate grid point (repeatable, increasing)",
     )
     run.add_argument("--trials", type=int, help="trials per grid point")
     run.add_argument(
-        "--seed", "--master-seed", dest="seed", type=int,
+        "--seed", "--master-seed", dest="master_seed", type=int,
         help="master seed; all trial seeds derive from it",
     )
     run.add_argument("--max-cycles", type=int, help="censoring horizon per trial")
@@ -472,7 +443,7 @@ def build_parser() -> argparse.ArgumentParser:
               f"${WORKERS_ENV_VAR}, else 1)"),
     )
     run.add_argument(
-        "--out", "--output-path", dest="out", help="output CSV path"
+        "--out", "--output-path", dest="output_path", help="output CSV path"
     )
     run.add_argument(
         "--engine", choices=list(ENGINES),

@@ -5,12 +5,14 @@ plot-data export, and circuit listings.
 All invocations go through ``main(argv)`` in-process.
 """
 
+import argparse
 import concurrent.futures
 import csv
 import json
 import math
 import os
 import threading
+from dataclasses import fields
 
 import pytest
 
@@ -91,11 +93,32 @@ def _run(tmp_path, *extra, grid=("0.005", "0.05"), trials="60", name="results.cs
         (dict(master_seed=False), "master_seed"),
         (dict(code="bf", variant="none"), "variant"),
         (dict(code="surface17", variant="none"), "variant"),
+        (dict(code=["bf"]), "code"),
+        (dict(engine=["frame"]), "engine"),
+        (dict(output_path=["x.csv"]), "output_path"),
+        (dict(output_path=True), "output_path"),  # open() reads 1 as stdout's fd
+        (dict(output_path=5), "output_path"),
     ],
 )
 def test_run_config_names_offending_field(overrides, field):
     with pytest.raises(ConfigError, match=f"^{field}:"):
         _cfg(**overrides)
+
+
+def test_run_config_of_the_wrong_type_exits_before_any_trial(tmp_path, capsys,
+                                                          monkeypatch):
+    out = tmp_path / "results.csv"
+    config = tmp_path / "cfg.json"
+    config.write_text(json.dumps({
+        "code": ["bf"], "variant": "simplified", "p_grid": [0.01, 0.02],
+        "trials": 5, "master_seed": 1, "output_path": str(out),
+    }))
+    monkeypatch.setattr(threshold, "sweep_point", None)  # a trial would raise
+    rc = main(["run", "--config", str(config)])
+    captured = capsys.readouterr()
+    assert rc == int(ExitStatus.CONFIG_ERROR)
+    assert "config error: code:" in captured.err
+    assert not out.exists()
 
 
 def test_run_config_defaults_and_specs():
@@ -144,6 +167,43 @@ def test_load_config_merges_and_overrides(tmp_path):
     assert all(isinstance(p, float) for p in cfg.p_grid)
 
 
+def _run_parser():
+    (sub,) = (a for a in cli.build_parser()._actions
+              if isinstance(a, argparse._SubParsersAction))
+    return sub.choices["run"]
+
+
+def test_every_run_config_field_is_a_run_flag_dest():
+    dests = {action.dest for action in _run_parser()._actions}
+    assert {f.name for f in fields(RunConfig)} <= dests
+
+
+@pytest.mark.parametrize("p_flag,seed_flag,out_flag", [
+    ("--p", "--seed", "--out"),
+    ("--p-grid", "--master-seed", "--output-path"),
+], ids=["short", "long"])
+def test_run_flags_spell_their_run_config(p_flag, seed_flag, out_flag, tmp_path,
+                                          monkeypatch):
+    """An argv that gives every ``run`` flag loads the ``RunConfig`` it
+    spells, field for field, under either spelling of a flag."""
+    expected = RunConfig(code="surface17", variant="perfect", p_grid=(0.001, 0.002),
+                         trials=7, master_seed=13, max_cycles=500, workers=2,
+                         output_path=str(tmp_path / "s17.csv"), engine="tableau")
+    assert all(getattr(expected, f.name) != f.default for f in fields(RunConfig))
+    loaded = []
+
+    def load_and_stop(config_path, overrides):
+        loaded.append(load_run_config(config_path, overrides))
+        raise ConfigError("stop before the sweep")
+
+    monkeypatch.setattr(cli, "load_run_config", load_and_stop)
+    main(["run", "--code", "surface17", "--variant", "perfect",
+          p_flag, "0.001", p_flag, "0.002", "--trials", "7", seed_flag, "13",
+          "--max-cycles", "500", "--workers", "2", out_flag, expected.output_path,
+          "--engine", "tableau"])
+    assert loaded == [expected]
+
+
 def test_load_config_unknown_key(tmp_path):
     path = tmp_path / "cfg.json"
     path.write_text(json.dumps({"code": "bf", "colour": "blue"}))
@@ -180,7 +240,11 @@ def test_load_config_bad_grid_type():
 # ---------------------------------------------------------------------------
 
 
-def test_run_with_crossing(tmp_path, capsys):
+def test_run_with_crossing(tmp_path, capsys, monkeypatch):
+    points = []
+    real = cli.iter_sweep
+    monkeypatch.setattr(cli, "iter_sweep", lambda *args, **kwargs: (
+        points.append(pt) or pt for pt in real(*args, **kwargs)))
     rc, out = _run(tmp_path)
     captured = capsys.readouterr()
     assert rc == int(ExitStatus.OK)
@@ -195,15 +259,19 @@ def test_run_with_crossing(tmp_path, capsys):
     header, rows = _read_rows(out)
     assert header == CSV_HEADER
     assert len(rows) == 3  # two grid points + threshold summary
-    for row, p in zip(rows, (0.005, 0.05)):
+    assert [pt.p for pt in points] == [0.005, 0.05]
+    for row, p, pt in zip(rows, (0.005, 0.05), points):
         assert row["code"] == "bf" and row["variant"] == "simplified"
         assert float(row["p"]) == p
+        assert row["mean_cycles"] == repr(float(pt.mean_cycles))
         assert row["trials"] == "60"
         assert int(row["failures"]) + int(row["censored"]) == 60
         assert float(row["ci_low"]) <= float(row["p_log"]) <= float(row["ci_high"])
         assert row["seed"] == "9"
     summary_row = rows[2]
     assert summary_row["trials"] == ""  # marks the summary row
+    assert summary_row["failures"] == summary_row["censored"] == ""
+    assert summary_row["mean_cycles"] == ""
     assert float(summary_row["p"]) == summary["p_th"]
     assert float(summary_row["p_log"]) == summary["p_th"]
     assert [float(summary_row["ci_low"]), float(summary_row["ci_high"])] == summary["ci"]

@@ -386,22 +386,35 @@ SPLIT_CASES = {
 }
 
 
-@pytest.mark.parametrize("case", list(SPLIT_CASES))
-def test_split_resamples_match_numpy_and_the_single_call(case, monkeypatch):
+# With `_MIN_SPLIT_DRAWS` 0 the resamples left after a miss are split again;
+# at the call's own draw count ("remainder") only the first split runs, and
+# the rows left after its miss run as one serial kernel call.
+@pytest.mark.parametrize(
+    "case,min_split",
+    [pytest.param(case, "0", id=case) for case in SPLIT_CASES]
+    + [pytest.param(case, "remainder", id=f"{case}-remainder") for case in SPLIT_CASES],
+)
+def test_split_resamples_match_numpy_and_the_single_call(case, min_split, monkeypatch):
     """A bootstrap split over workers gives the numpy loop's means and
     final state, and the single kernel call's, when its first chunk holds a
     rejection: the other chunks' speculated starts are a draw short, and
-    the resamples after the first chunk are split again from its end."""
+    the resamples after the first chunk are split again from its end, or
+    run in one call when too few draws are left to split."""
     kernel_library()
     workers, sets, n_resamples, buffered, position = SPLIT_CASES[case]
-    monkeypatch.setattr(montecarlo, "_MIN_SPLIT_DRAWS", 0)
+    draws = n_resamples * sum(s.size for s in sets if s.size > 1)
+    monkeypatch.setattr(montecarlo, "_MIN_SPLIT_DRAWS",
+                        draws if min_split == "remainder" else 0)
     calls = _counted_resample_sums(monkeypatch)
     state = _rejecting_state(sets[0].size, position, buffered)
     rngs = [np.random.default_rng() for _ in range(3)]
     for rng in rngs:
         rng.bit_generator.state = state
     split = resample_means(rngs[0], sets, n_resamples, workers)
-    assert len(calls) > workers  # the first split missed and split again
+    if min_split == "remainder":
+        assert len(calls) == workers + 1  # one split, then the serial rest
+    else:
+        assert len(calls) > workers  # the first split missed and split again
     single = resample_means(rngs[1], sets, n_resamples)
     expected = _numpy_resample_means(rngs[2], sets, n_resamples)
     assert split.tobytes() == single.tobytes() == expected.tobytes()
